@@ -337,24 +337,9 @@ def cmd_link_check(cfg: dict) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_PROPERTY), report
 
 
-def _mu_report_dict(rep: entropy.MuReport) -> dict:
+def _solution_fields(rep) -> dict:
+    """Value, residuals and tip fit of a lambda or mu report."""
     return {
-        "value": rep.value, "tau": rep.tau, "variant": rep.variant,
-        "multiplier": rep.multiplier, "el_residual": rep.el_residual,
-        "constraint_residual": rep.constraint_residual,
-        "normalization_identity": rep.normalization_identity,
-        "fitted_exponent": (None if not np.isfinite(rep.fitted_exponent)
-                            else rep.fitted_exponent),
-        "fit_constant": rep.fit_constant, "fit_residual": rep.fit_residual,
-        "basin_values": list(rep.basin_values), "nonconvex": rep.nonconvex,
-    }
-
-
-def cmd_lambda(cfg: dict) -> tuple[int, dict]:
-    metric = build_metric(cfg)
-    rep = entropy.compute_lambda(metric)
-    report = _base_report(cfg, "lambda")
-    report.update({
         "value": rep.value,
         "el_residual": rep.el_residual,
         "constraint_residual": rep.constraint_residual,
@@ -362,30 +347,45 @@ def cmd_lambda(cfg: dict) -> tuple[int, dict]:
                             else rep.fitted_exponent),
         "fit_constant": rep.fit_constant,
         "fit_residual": rep.fit_residual,
-    })
+    }
+
+
+def _mu_report_dict(rep: entropy.MuReport) -> dict:
+    return {
+        **_solution_fields(rep),
+        "tau": rep.tau, "variant": rep.variant,
+        "multiplier": rep.multiplier,
+        "normalization_identity": rep.normalization_identity,
+        "basin_values": list(rep.basin_values), "nonconvex": rep.nonconvex,
+    }
+
+
+def _residual_gate(cfg: dict, report: dict, rep) -> tuple[int, dict]:
+    """Pass iff the EL and constraint residuals of rep are within tolerance."""
     tol = cfg["tolerances"]
     ok = (rep.el_residual < tol["el_residual"]
           and rep.constraint_residual < tol["constraint"])
     report["pass"] = ok
     return (EXIT_OK if ok else EXIT_PROPERTY), report
+
+
+def cmd_lambda(cfg: dict) -> tuple[int, dict]:
+    rep = entropy.compute_lambda(build_metric(cfg))
+    report = _base_report(cfg, "lambda")
+    report.update(_solution_fields(rep))
+    return _residual_gate(cfg, report, rep)
 
 
 def cmd_mu(cfg: dict) -> tuple[int, dict]:
-    metric = build_metric(cfg)
-    rep = entropy.compute_mu(metric, cfg["mu"]["tau"],
+    rep = entropy.compute_mu(build_metric(cfg), cfg["mu"]["tau"],
                              variant=cfg["mu"]["variant"])
     report = _base_report(cfg, "mu")
     report.update(_mu_report_dict(rep))
-    tol = cfg["tolerances"]
-    ok = (rep.el_residual < tol["el_residual"]
-          and rep.constraint_residual < tol["constraint"])
-    report["pass"] = ok
-    return (EXIT_OK if ok else EXIT_PROPERTY), report
+    return _residual_gate(cfg, report, rep)
 
 
 def cmd_nu(cfg: dict) -> tuple[int, dict]:
-    metric = build_metric(cfg)
-    rep = entropy.compute_nu(metric, variant=cfg["nu"]["variant"],
+    rep = entropy.compute_nu(build_metric(cfg), variant=cfg["nu"]["variant"],
                              tau_range=(cfg["nu"]["tau_min"],
                                         cfg["nu"]["tau_max"]))
     report = _base_report(cfg, "nu")
@@ -396,15 +396,11 @@ def cmd_nu(cfg: dict) -> tuple[int, dict]:
         "lambda_value": rep.lambda_value,
         "optimal_slice": _mu_report_dict(rep.mu_report),
     })
-    tol = cfg["tolerances"]
-    ok = (rep.mu_report.el_residual < tol["el_residual"]
-          and rep.mu_report.constraint_residual < tol["constraint"])
-    report["pass"] = ok
     if cfg["run"]["svg"]:
         svg_line_plot(os.path.join(output_dir(cfg), "tau_profile.svg"),
                       np.log10(rep.tau_profile), rep.mu_profile,
                       f"mu_{rep.variant}(tau) vs log10 tau")
-    return (EXIT_OK if ok else EXIT_PROPERTY), report
+    return _residual_gate(cfg, report, rep.mu_report)
 
 
 def cmd_flow(cfg: dict) -> tuple[int, dict]:

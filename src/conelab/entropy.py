@@ -37,19 +37,11 @@ from scipy.linalg import solve_banded
 
 from . import geometry
 from .geometry import RadialMetric, RadialField, volume_form, _as_values
-from .spectral import (RadialOperator, assemble_operator, solve_ground_state,
-                       fit_asymptotics, FIT_EXPONENT_SENTINEL)
+from .spectral import fit_asymptotics, lambda_problem
 
 
 def _s_m(m: int, tau: float) -> float:
     return (4.0 * math.pi * tau) ** (-m / 2.0)
-
-
-def _lambda_form(metric: RadialMetric):
-    """Assembled (A, w): energy tridiagonal of 4*Lap + scal and mass weights."""
-    op = RadialOperator(metric, q=1.0, mode=0.0, c=4.0)
-    prob = assemble_operator(op)
-    return prob, prob.mass
 
 
 @dataclass
@@ -63,30 +55,15 @@ class LambdaReport:
     fit_residual: float
 
 
-def evaluate_lambda_functional(metric: RadialMetric, omega) -> float:
-    """The lambda energy of a trial weight (Rayleigh quotient if unnormalized).
-
-    Uses the same discrete quadratic form as the eigensolver, so the value at
-    the computed ground state reproduces lambda(g) to roundoff.
-    """
-    prob, w = _lambda_form(metric)
-    u = _as_values(omega)
-    energy = float(u @ prob.matvec(u))
-    norm = float(u @ (w * u))
-    return energy / norm
-
-
 def compute_lambda(metric: RadialMetric, fit_window=None) -> LambdaReport:
     """Ground state of 4*Lap + scal with unit L2 constraint."""
-    op = RadialOperator(metric, q=1.0, mode=0.0, c=4.0)
-    lam, omega = solve_ground_state(op)
-    prob, w = _lambda_form(metric)
-    u = omega.values
-    r = prob.matvec(u) - lam * w * u
+    lp = lambda_problem(metric)
+    u, w = lp.omega.values, lp.prob.mass
+    r = lp.prob.matvec(u) - lp.value * w * u
     el_res = float(np.linalg.norm(r) / np.linalg.norm(w * u))
     cons = abs(float(u @ (w * u)) - 1.0)
     c0, e, fr = fit_asymptotics(u, metric.grid, window=fit_window)
-    return LambdaReport(value=float(lam), omega=omega, el_residual=el_res,
+    return LambdaReport(value=lp.value, omega=lp.omega, el_residual=el_res,
                         constraint_residual=cons, fitted_exponent=e,
                         fit_constant=c0, fit_residual=fr)
 
@@ -102,7 +79,8 @@ def evaluate_w(metric: RadialMetric, omega, tau: float, variant: str = "minus",
     e = _SIGN[variant]
     if tau <= 0:
         raise ValueError("tau must be positive")
-    prob, w = _lambda_form(metric)
+    prob = lambda_problem(metric).prob
+    w = prob.mass
     u = _as_values(omega)
     if np.any(u <= 0):
         raise ValueError("omega must be strictly positive")
@@ -135,7 +113,18 @@ class MuReport:
     nonconvex: bool = False
 
 
-def _newton_el(prob, w, m, tau, e, u0, mu0, tol=1e-10, accept=1e-9,
+def _el_residual(prob, m, tau, e, u, mu):
+    """EL residual g1, constraint residual g2, and |g1| relative to its terms."""
+    w = prob.mass
+    lin = tau * prob.matvec(u)
+    nonlin = w * (2.0 * e * u * np.log(u) + (e * m + mu) * u)
+    g1 = -lin + nonlin
+    g2 = _s_m(m, tau) * float(u @ (w * u)) - 1.0
+    scale = np.linalg.norm(lin) + np.linalg.norm(nonlin)
+    return g1, g2, float(np.linalg.norm(g1) / scale)
+
+
+def _newton_el(prob, m, tau, e, u0, mu0, tol=1e-10, accept=1e-9,
                max_iter=80):
     """Damped Newton on the EL system with the normalization constraint.
 
@@ -146,30 +135,18 @@ def _newton_el(prob, w, m, tau, e, u0, mu0, tol=1e-10, accept=1e-9,
     the curvature quadrature, so a stalled iterate below `accept` still
     counts as converged.
     """
+    w = prob.mass
     sm = _s_m(m, tau)
     u = u0.copy()
     mu = mu0
-
-    def residual(u, mu):
-        lin = tau * prob.matvec(u)
-        nonlin = w * (2.0 * e * u * np.log(u) + (e * m + mu) * u)
-        g1 = -lin + nonlin
-        g2 = sm * float(u @ (w * u)) - 1.0
-        scale = np.linalg.norm(lin) + np.linalg.norm(nonlin)
-        return g1, g2, math.hypot(float(np.linalg.norm(g1)) / scale, g2)
-
     for it in range(max_iter):
-        g1, g2, res = residual(u, mu)
+        g1, g2, rel = _el_residual(prob, m, tau, e, u, mu)
+        res = math.hypot(rel, g2)
         if res < tol:
             return u, mu, True
         # tridiagonal block d g1 / d omega
-        diag = -tau * prob.diag + w * (2.0 * e * np.log(u) + 2.0 * e
-                                       + e * m + mu)
-        off = -tau * prob.off
-        ab = np.zeros((3, len(u)))
-        ab[0, 1:] = off
-        ab[1] = diag
-        ab[2, :-1] = off
+        ab = -tau * prob.banded()
+        ab[1] += w * (2.0 * e * np.log(u) + 2.0 * e + e * m + mu)
         bvec = w * u                 # d g1 / d mu
         cvec = 2.0 * sm * w * u      # d g2 / d omega
         try:
@@ -190,7 +167,8 @@ def _newton_el(prob, w, m, tau, e, u0, mu0, tol=1e-10, accept=1e-9,
         for _ in range(40):
             u_try = u + step * du
             mu_try = mu + step * dmu
-            _, _, rt = residual(u_try, mu_try)
+            _, g2_try, rel_try = _el_residual(prob, m, tau, e, u_try, mu_try)
+            rt = math.hypot(rel_try, g2_try)
             if np.isfinite(rt) and rt < res * (1.0 - 1e-4 * step):
                 break
             step *= 0.5
@@ -207,37 +185,33 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
 
     Newton iteration from several starting weights; the lowest converged
     entropy is reported and disagreement between basins raises the
-    nonconvex flag.
+    nonconvex flag.  The "ground" start is the lambda minimizer.
     """
     e = _SIGN[variant]
     if tau <= 0:
         raise ValueError("tau must be positive")
     m = metric.m
-    prob, w = _lambda_form(metric)
+    lp = lambda_problem(metric)
+    w = lp.prob.mass
     sm = _s_m(m, tau)
-    vol = float(np.sum(w))
 
-    inits = []
-    if omega0 is not None:
-        u0 = _as_values(omega0).copy()
-        u0 /= math.sqrt(sm * float(u0 @ (w * u0)))
-        inits.append(u0)
+    def normalized(u):
+        return u / math.sqrt(sm * float(u @ (w * u)))
+
+    inits = [] if omega0 is None else [normalized(_as_values(omega0))]
     for s in starts:
         if s == "constant":
-            inits.append(np.full(len(w), 1.0 / math.sqrt(sm * vol)))
+            inits.append(np.full(len(w), 1.0 / math.sqrt(sm * float(np.sum(w)))))
         elif s == "ground":
-            _, og = solve_ground_state(RadialOperator(metric, q=1.0, c=4.0))
-            u0 = np.maximum(og.values, 1e-12 * og.values.max())
-            u0 /= math.sqrt(sm * float(u0 @ (w * u0)))
-            inits.append(u0)
+            og = lp.omega.values
+            inits.append(normalized(np.maximum(og, 1e-12 * og.max())))
         else:
             raise ValueError(f"unknown start {s!r}")
 
     sols = []
     for u0 in inits:
-        mu0 = sm * (tau * float(u0 @ prob.matvec(u0))
-                    - e * float(np.sum(w * (2 * u0**2 * np.log(u0) + m * u0**2))))
-        u, mu, ok = _newton_el(prob, w, m, tau, e, u0, mu0)
+        mu0 = evaluate_w(metric, u0, tau, variant)
+        u, mu, ok = _newton_el(lp.prob, m, tau, e, u0, mu0)
         if ok:
             sols.append((mu, u))
     if not sols:
@@ -247,11 +221,7 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
                  1e-8 * max(1.0, abs(basin[0])))
     mu, u = min(sols, key=lambda s: s[0])
 
-    lin = tau * prob.matvec(u)
-    nonlin = w * (2 * e * u * np.log(u) + (e * m + mu) * u)
-    el_res = float(np.linalg.norm(lin - nonlin)
-                   / (np.linalg.norm(lin) + np.linalg.norm(nonlin)))
-    cons = abs(sm * float(u @ (w * u)) - 1.0)
+    _, g2, el_res = _el_residual(lp.prob, m, tau, e, u, mu)
     # f = -2 log omega; s_m int f e^{-f} dV equals m/2 + e * mu exactly when
     # tau is also stationary (the identity encodes dW/dtau = 0), so the gap
     # doubles as a distance-from-optimal-tau diagnostic
@@ -260,7 +230,7 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
     c0, ex, fr = fit_asymptotics(u, metric.grid, window=fit_window)
     return MuReport(value=float(mu), tau=tau, variant=variant,
                     omega=RadialField(u), multiplier=float(mu),
-                    el_residual=el_res, constraint_residual=cons,
+                    el_residual=el_res, constraint_residual=abs(g2),
                     normalization_identity=ident,
                     fitted_exponent=ex, fit_constant=c0, fit_residual=fr,
                     basin_values=basin, nonconvex=nonconvex)
@@ -288,8 +258,7 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     grid, then golden-section refinement, warm-starting each solve from the
     neighboring optimizer.
     """
-    lam_rep = compute_lambda(metric)
-    lam = lam_rep.value
+    lam = lambda_problem(metric).value
     if variant == "minus" and lam <= 0:
         raise ValueError("nu_minus requires lambda(g) > 0")
     if variant == "plus" and lam >= 0:

@@ -24,13 +24,13 @@ controller steps against the squared minimum spacing of the evolved nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from . import entropy, geometry, link as linkmod, spectral
-from .geometry import RadialMetric, RadialField, warped_ricci, _as_values
+from . import entropy, link as linkmod, spectral
+from .geometry import RadialMetric, RadialField, warped_ricci
 
 
 class FlowError(Exception):
@@ -78,7 +78,6 @@ class FlowState:
     metric: RadialMetric
     sup_ric: float
     sup_ric_normalized: float  # sup |Ric - kappa g| in the orthonormal frame
-    sup_w: float
     cone_factor: float
     entropy_value: float | None = None
 
@@ -91,12 +90,11 @@ def deturck_vector_field(metric: RadialMetric,
         raise ValueError("metric and reference must share a grid")
     if metric.link is not reference.link:
         raise ValueError("metric and reference must share a link")
-    g = metric.grid
     a, b = metric.a, metric.b
     ra, rb = reference.a, reference.b
     n = metric.link.n
-    da, dra = g.d1(a), g.d1(ra)
-    db, drb = g.d1(b), g.d1(rb)
+    da, db, _, _ = metric.jet
+    dra, drb, _, _ = reference.jet
     with np.errstate(divide="ignore", invalid="ignore"):
         w = (da / a - dra / ra) / a**2 + n * (rb * drb / (ra**2 * b**2)
                                               - db / (a**2 * b))
@@ -105,16 +103,15 @@ def deturck_vector_field(metric: RadialMetric,
     return RadialField(np.where(np.isfinite(w), w, 0.0))
 
 
-def flow_rhs(state: FlowState, config: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
+def flow_rhs(metric: RadialMetric,
+             config: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
     """Component rates (da/dt, db/dt) of the normalized de Turck flow."""
-    metric = state.metric
     ref = config.reference if config.reference is not None else metric
     kappa = _KAPPA[config.normalization]
-    g = metric.grid
     w = deturck_vector_field(metric, ref).values
     ric_rad, ric_link = warped_ricci(metric)
-    da = metric.a * (kappa - ric_rad.values) + g.d1(metric.a * w)
-    db = metric.b * (kappa - ric_link.values) + g.d1(metric.b) * w
+    da = metric.a * (kappa - ric_rad.values) + metric.grid.d1(metric.a * w)
+    db = metric.b * (kappa - ric_link.values) + metric.jet[1] * w
     if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
         raise FlowError("non-finite flow right-hand side")
     return da, db
@@ -128,18 +125,16 @@ def _implicit_bands(grid, coeff, dt, frozen):
     bandwidth (3, 3).
     """
     starts, _, w2 = grid._stencils
-    N = grid.N
-    ab = np.zeros((7, N))
-    rows = np.arange(N)
-    for k in range(7):
-        cols = starts + k
-        vals = np.where(frozen, 1.0 * (cols == rows),
-                        (cols == rows) - dt * coeff * w2[:, k])
-        if np.any(np.abs(rows - cols)[vals != 0.0] > 3):
-            raise FlowError("one-sided stencil row outside the frozen band")
-        idx = 3 + rows - cols
-        inside = (idx >= 0) & (idx < 7)  # zeros of frozen one-sided rows
-        np.add.at(ab, (idx[inside], cols[inside]), vals[inside])
+    rows = np.arange(grid.N)[:, None]
+    cols = starts[:, None] + np.arange(w2.shape[1])
+    vals = (np.where(frozen[:, None], 0.0, -dt * coeff[:, None] * w2)
+            + (cols == rows))
+    band = 3 + rows - cols  # row of entry (rows, cols) in the banded storage
+    inside = (band >= 0) & (band < 7)
+    if np.any(vals[~inside] != 0.0):
+        raise FlowError("one-sided stencil row outside the frozen band")
+    ab = np.zeros((7, grid.N))
+    ab[band[inside], cols[inside]] = vals[inside]
     return ab
 
 
@@ -214,7 +209,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig,
         return float(intercept)
 
     cf0 = fitted_cone_factor(initial.b)
-    a0, b0 = initial.a.copy(), initial.b.copy()
+    a0, b0 = initial.a, initial.b
     # outer end: a smooth cap (b -> 0) is slaved like the tip, a genuine
     # truncation boundary stays pinned at its initial values
     outer_cap = initial.b[-1] < 1e-2 * initial.b.max()
@@ -231,21 +226,17 @@ def run_flow(initial: RadialMetric, config: FlowConfig,
 
     def diagnostics(t, met):
         kappa = _KAPPA[cfg.normalization]
-        rr, rl = warped_ricci(met)
-        sup_ric = float(max(np.max(np.abs(rr.values[live])),
-                            np.max(np.abs(rl.values[live]))))
-        sup_norm = float(max(np.max(np.abs(rr.values[live] - kappa)),
-                             np.max(np.abs(rl.values[live] - kappa))))
-        w = deturck_vector_field(met, ref).values
+        ric = np.stack([r.values[live] for r in warped_ricci(met)])
         ev = None
         if cfg.entropy_kind == "lambda":
             ev = entropy.compute_lambda(met).value
         elif cfg.entropy_kind in ("mu_minus", "mu_plus"):
             variant = "minus" if cfg.entropy_kind == "mu_minus" else "plus"
             ev = entropy.compute_mu(met, cfg.entropy_tau, variant=variant).value
-        return FlowState(t=t, metric=met, sup_ric=sup_ric,
-                         sup_ric_normalized=sup_norm,
-                         sup_w=float(np.max(np.abs(w[live]))),
+        # a bare copy: the trajectory must not keep each sample's memo alive
+        return FlowState(t=t, metric=replace(met),
+                         sup_ric=float(np.max(np.abs(ric))),
+                         sup_ric_normalized=float(np.max(np.abs(ric - kappa))),
                          cone_factor=fitted_cone_factor(met.b),
                          entropy_value=ev)
 
@@ -253,23 +244,20 @@ def run_flow(initial: RadialMetric, config: FlowConfig,
     next_sample = cfg.sample_period if cfg.sample_period > 0 else math.inf
 
     a, b = a0.copy(), b0.copy()
-    t = 0.0
     for step in range(n_steps):
-        state = FlowState(t=t, metric=metric, sup_ric=0.0,
-                          sup_ric_normalized=0.0, sup_w=0.0,
-                          cone_factor=metric.cone_factor)
-        da, db = flow_rhs(state, cfg)
+        da, db = flow_rhs(metric, cfg)
         coeff = 1.0 / metric.a**2
         ab_mat = _implicit_bands(grid, coeff, dt, frozen)
-        for u, rate in ((a, da), (b, db)):
-            rhs = u + dt * (rate - coeff * grid.d2(u))
+        _, _, d2a, d2b = metric.jet
+        for u, rate, d2u in ((a, da, d2a), (b, db, d2b)):
+            rhs = u + dt * (rate - coeff * d2u)
             rhs[frozen] = u[frozen]
             u[:] = solve_banded((3, 3), ab_mat, rhs)
         slave_bands(a, b)
         t = (step + 1) * dt
         if np.any(a <= 0) or np.any(b[live] <= 0):
             raise FlowError(f"positivity loss at t = {t:.6g}")
-        metric = replace(metric, a=a.copy(), b=b.copy())
+        metric = replace(metric, a=a, b=b)
         cf = fitted_cone_factor(b)
         if abs(cf - cf0) > cfg.cone_drift_bound * max(abs(cf0), 1e-300):
             raise FlowError(f"cone-condition drift beyond bound at t = {t:.6g}")

@@ -30,6 +30,11 @@ CONE_AND_CAP = "cone_and_cap"
 STENCIL = 7
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def fornberg_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at x0 on nodes xs."""
     npts = len(xs)
@@ -58,14 +63,14 @@ def fornberg_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes x_1 < ... < x_N in (0, L]."""
+    """Strictly increasing nodes x_1 < ... < x_N in (0, L]; x is read-only."""
 
     x: np.ndarray
     L: float
     p: float = 2.0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = _read_only(np.array(self.x, dtype=float))
         object.__setattr__(self, "x", x)
         if x[0] <= 0 or np.any(np.diff(x) <= 0):
             raise ValueError("grid nodes must be strictly increasing and positive")
@@ -118,11 +123,9 @@ class RadialGrid:
 
 @dataclass
 class RadialField:
-    """Scalar field sampled on a radial grid, with optional fit metadata."""
+    """Scalar field sampled on a radial grid."""
 
     values: np.ndarray
-    leading_constant: float | None = None
-    fitted_exponent: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -139,7 +142,11 @@ def _as_values(u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialMetric:
-    """g = a(x)^2 dx^2 + b(x)^2 g_F on a radial grid over an Einstein link."""
+    """g = a(x)^2 dx^2 + b(x)^2 g_F on a radial grid over an Einstein link.
+
+    a and b are read-only copies, so data derived from the metric (the
+    jet, the curvature, the lambda problem) is computed once per object.
+    """
 
     link: "LinkData"
     grid: RadialGrid
@@ -147,10 +154,12 @@ class RadialMetric:
     b: np.ndarray
     gamma: float = 1.0
     topology_tag: str = TWO_CONES
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        a = _read_only(np.array(self.a, dtype=float))
+        b = _read_only(np.array(self.b, dtype=float))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if len(a) != self.grid.N or len(b) != self.grid.N:
@@ -171,6 +180,19 @@ class RadialMetric:
     def cone_factor(self) -> float:
         """Fitted limit of b(x)/x at the tip."""
         return float(self.b[0] / self.grid.x[0])
+
+    def derived(self, build):
+        """build(self), computed on the first request and memoized."""
+        if build not in self._memo:
+            self._memo[build] = build(self)
+        return self._memo[build]
+
+    @cached_property
+    def jet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Grid derivatives (a', b', a'', b'') of the coefficients."""
+        g = self.grid
+        return tuple(_read_only(d(u)) for d in (g.d1, g.d2)
+                     for u in (self.a, self.b))
 
     def scaled(self, c2: float) -> "RadialMetric":
         """The metric c2 * g, realized as (a, b) -> (c a, c b) with c = sqrt(c2)."""
@@ -194,8 +216,6 @@ def _extrapolate_into(x, vals, bad):
     """Replace vals[bad] by polynomial extrapolation from the good side."""
     vals = vals.copy()
     good = ~bad
-    if not bad.any():
-        return vals
     idx_bad = np.where(bad)[0]
     for i in idx_bad:
         # nearest block of good points
@@ -209,19 +229,18 @@ def _extrapolate_into(x, vals, bad):
     return vals
 
 
-def _d_arc(metric: RadialMetric, u: np.ndarray) -> np.ndarray:
-    """Arclength derivative Du = u' / a."""
-    return metric.grid.d1(u) / metric.a
-
-
 def warped_ricci(metric: RadialMetric) -> tuple[RadialField, RadialField]:
     """Orthonormal-frame Ricci components (radial-radial, link-diagonal)."""
+    return metric.derived(_ricci_pair)
+
+
+def _ricci_pair(metric: RadialMetric) -> tuple[RadialField, RadialField]:
     n = metric.link.n
-    a, b, g = metric.a, metric.b, metric.grid
+    a, b = metric.a, metric.b
+    da, db, _, d2b = metric.jet
     kappa = metric.link.scal_F / (n * (n - 1)) if n > 1 else 0.0
-    db = g.d1(b)
     Db = db / a
-    D2b = (g.d2(b) - db * g.d1(a) / a) / a**2
+    D2b = (d2b - db * da / a) / a**2
     bad = _pole_mask(metric)
     safe_b = np.where(bad, 1.0, b)
     ric_rad = -n * D2b / safe_b
@@ -230,10 +249,11 @@ def warped_ricci(metric: RadialMetric) -> tuple[RadialField, RadialField]:
     else:
         ric_link = -D2b / safe_b
     if bad.any():
-        x = g.x
+        x = metric.grid.x
         ric_rad = _extrapolate_into(x, ric_rad, bad)
         ric_link = _extrapolate_into(x, ric_link, bad)
-    return RadialField(ric_rad), RadialField(ric_link)
+    return (RadialField(_read_only(ric_rad)),
+            RadialField(_read_only(ric_link)))
 
 
 def warped_scal(metric: RadialMetric) -> RadialField:
@@ -277,12 +297,13 @@ def radial_hessian(f, metric: RadialMetric) -> tuple[RadialField, RadialField]:
     """
     vals = _as_values(f)
     a, b, g = metric.a, metric.b, metric.grid
+    da, db, _, _ = metric.jet
     df = g.d1(vals)
     Df = df / a
-    hess_rad = (g.d2(vals) - df * g.d1(a) / a) / a**2
+    hess_rad = (g.d2(vals) - df * da / a) / a**2
     bad = _pole_mask(metric)
     safe_b = np.where(bad, 1.0, b)
-    Db = g.d1(b) / a
+    Db = db / a
     hess_link = (Db / safe_b) * Df
     if bad.any():
         hess_link = _extrapolate_into(g.x, hess_link, bad)
@@ -387,7 +408,7 @@ def perturb_metric(metric: RadialMetric, h_rad, h_link, eps: float) -> RadialMet
 def lie_derivative_tensor(metric: RadialMetric, xi) -> tuple[np.ndarray, np.ndarray]:
     """(h_rad, h_link) of the Lie derivative of g along X = xi(x) d/dx."""
     xi = _as_values(xi)
-    a, b, g = metric.a, metric.b, metric.grid
-    h_rad = 2.0 * a * g.d1(a * xi)
-    h_link = 2.0 * (g.d1(b) / np.where(b > 0, b, 1.0)) * xi
+    a, b = metric.a, metric.b
+    h_rad = 2.0 * a * metric.grid.d1(a * xi)
+    h_link = 2.0 * (metric.jet[1] / np.where(b > 0, b, 1.0)) * xi
     return h_rad, h_link

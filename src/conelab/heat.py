@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import RadialGrid, RadialField, smooth_cutoff, _as_values
+from .spectral import fit_power_model
 
 _SERIES_MAX_Z = 30.0
 _SERIES_TERMS = 90
@@ -154,8 +155,7 @@ def nu_from_mode(n: int, mode: float) -> float:
     return math.sqrt(mode + ((n - 1) / 2.0) ** 2)
 
 
-def cone_kernel_mode(n: int, nu: float, t, x, x_tilde,
-                     overflow_scaling: bool = True):
+def cone_kernel_mode(n: int, nu: float, t, x, x_tilde):
     """Mode-nu radial heat kernel of the exact (n+1)-dimensional cone.
 
     t, x and x_tilde may be scalars or arrays that broadcast against each
@@ -166,35 +166,24 @@ def cone_kernel_mode(n: int, nu: float, t, x, x_tilde,
         raise ValueError("time t must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(x_tilde, dtype=float)
-    z = x * y / (2.0 * t)
-    if not overflow_scaling and np.any(z > 600.0):
-        raise OverflowError(
-            "kernel argument exceeds the unscaled range; enable overflow_scaling"
-        )
     pref = (x * y) ** (-(n - 1) / 2.0) / (2.0 * t)
-    return pref * bessel_i(nu, z, scaled=True) * np.exp(-((x - y) ** 2) / (4.0 * t))
+    return (pref * bessel_i(nu, x * y / (2.0 * t), scaled=True)
+            * np.exp(-((x - y) ** 2) / (4.0 * t)))
 
 
 @dataclass(frozen=True)
 class HeatKernelParams:
     link: "LinkData"
-    mode_cutoff: int = 0
     series_tol: float = 1e-12
-    overflow_scaling: bool = True
 
     def __post_init__(self):
         if self.series_tol <= 0:
             raise ValueError("series_tol must be positive")
-        if not (0 <= self.mode_cutoff < len(self.link.laplace_spectrum)):
-            raise ValueError("mode_cutoff outside the supplied spectrum")
 
 
-@lru_cache(maxsize=32)
-def _gauss_rule_cached(key):
-    x_tuple, npts = key
-    x = np.array(x_tuple)
+def _panel_gauss(edges: np.ndarray, npts: int):
+    """Gauss-Legendre nodes and weights on every panel between edges."""
     gn, gw = np.polynomial.legendre.leggauss(npts)
-    edges = np.concatenate([[0.0], x])
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * gn[None, :]).ravel()
@@ -202,15 +191,15 @@ def _gauss_rule_cached(key):
     return nodes, weights
 
 
+@lru_cache(maxsize=32)
+def _gauss_rule_cached(key):
+    x_tuple, npts = key
+    return _panel_gauss(np.concatenate([[0.0], x_tuple]), npts)
+
+
 def cell_gauss_rule(grid: RadialGrid, npts: int = 4):
     """Gauss-Legendre nodes/weights per grid cell, including the tip cell."""
     return _gauss_rule_cached((tuple(grid.x), npts))
-
-
-def _interp_to(grid: RadialGrid, u: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import CubicSpline
-    cs = CubicSpline(grid.x, u, extrapolate=True)
-    return cs(xq)
 
 
 def heat_apply(params: HeatKernelParams, t: float, u, grid: RadialGrid,
@@ -228,8 +217,9 @@ def heat_apply(params: HeatKernelParams, t: float, u, grid: RadialGrid,
         vals = u(grid.x)
         uq = u(xq)
     else:
+        from scipy.interpolate import CubicSpline
         vals = _as_values(u)
-        uq = _interp_to(grid, vals, xq)
+        uq = CubicSpline(grid.x, vals, extrapolate=True)(xq)
     # warn if u carries mass the truncated quadrature domain cannot absorb
     edge = np.abs(vals[-1]) * grid.L**n
     if edge > params.series_tol * max(1.0, np.max(np.abs(vals))):
@@ -242,8 +232,7 @@ def heat_apply(params: HeatKernelParams, t: float, u, grid: RadialGrid,
     kern = np.zeros(act.shape)
     xa = np.broadcast_to(X, act.shape)[act]
     ya = np.broadcast_to(Y, act.shape)[act]
-    kern[act] = cone_kernel_mode(n, nu, t, xa, ya,
-                                 overflow_scaling=params.overflow_scaling)
+    kern[act] = cone_kernel_mode(n, nu, t, xa, ya)
     out = kern @ (uq * xq**n * wq)
     return RadialField(out)
 
@@ -279,11 +268,7 @@ def kernel_mass(n: int, t: float, x: float, x_max: float | None = None,
     if x_max is None:
         x_max = x + 14.0 * math.sqrt(t) + 1.0
     edges = np.linspace(0.0, x_max, panels + 1)
-    gn, gw = np.polynomial.legendre.leggauss(quad_pts)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    ynodes = (mid[:, None] + half[:, None] * gn[None, :]).ravel()
-    yweights = (half[:, None] * gw[None, :]).ravel()
+    ynodes, yweights = _panel_gauss(edges, quad_pts)
     vals = cone_kernel_mode(n, nu, t, x, ynodes)
     return float(np.sum(vals * ynodes**n * yweights))
 
@@ -322,18 +307,6 @@ def s1_plane_kernel_error(t, x, x_tilde, dtheta, series_tol: float = 1e-14,
 
 # -- mapping-property exponent report -------------------------------------------
 
-def fit_loglog_slope(x: np.ndarray, u: np.ndarray) -> float:
-    """Least-squares slope of log|u| against log x."""
-    coef = np.polyfit(np.log(x), np.log(np.abs(u)), 1)
-    return float(coef[0])
-
-
-def _model_rms(x, u, design):
-    coef, _, _, _ = np.linalg.lstsq(design, u, rcond=None)
-    r = u - design @ coef
-    return float(np.sqrt(np.mean(r**2)))
-
-
 def classify_tip_behavior(x: np.ndarray, u: np.ndarray) -> dict:
     """Classify tip behavior as bounded / logarithmic / power with exponent.
 
@@ -345,20 +318,11 @@ def classify_tip_behavior(x: np.ndarray, u: np.ndarray) -> dict:
     there, so an unrestricted power model would absorb the log model and the
     residual comparison could never separate them.
     """
-    from scipy.optimize import minimize_scalar
-
-    def pow_fit(lo, hi):
-        def resid(e):
-            A = np.column_stack([np.ones_like(x), x**e])
-            coef, _, _, _ = np.linalg.lstsq(A, u, rcond=None)
-            return float(np.sqrt(np.mean((u - A @ coef) ** 2)))
-        res = minimize_scalar(resid, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-6})
-        return float(res.x), resid(float(res.x))
-
-    e_pow, rms_pow = pow_fit(-3.3, -0.25)
-    e_bnd, rms_bnd = pow_fit(0.25, 3.0)
-    rms_log = _model_rms(x, u, np.column_stack([np.ones_like(x), np.log(x)]))
+    _, e_pow, rms_pow = fit_power_model(x, u, (-3.3, -0.25))
+    _, e_bnd, rms_bnd = fit_power_model(x, u, (0.25, 3.0))
+    log_model = np.column_stack([np.ones_like(x), np.log(x)])
+    coef = np.linalg.lstsq(log_model, u, rcond=None)[0]
+    rms_log = float(np.sqrt(np.mean((u - log_model @ coef) ** 2)))
     scale = float(np.sqrt(np.mean(u**2)))
     best = min(("power", rms_pow), ("log", rms_log), ("bounded", rms_bnd),
                key=lambda kv: kv[1])[0]

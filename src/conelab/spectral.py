@@ -53,11 +53,8 @@ def indicial_exponents(link, gamma: float) -> IndicialData:
     nu = np.sqrt(lam + ((n - 1) / 2.0) ** 2)
     mu_plus = -(n - 1) / 2.0 + nu
     mu_minus = -(n - 1) / 2.0 - nu
-    lam1 = link.lambda_1
-    gamma_bar = None
-    if lam1 is not None:
-        mu1 = -(n - 1) / 2.0 + np.sqrt(lam1 + ((n - 1) / 2.0) ** 2)
-        gamma_bar = min(gamma, mu1)
+    # mu_plus at lambda_1, the smallest nonzero link eigenvalue
+    gamma_bar = min(gamma, mu_plus[lam > 0][0]) if np.any(lam > 0) else None
     return IndicialData(
         n=n, gamma=gamma, eigenvalues=lam, nu=nu,
         mu_plus=mu_plus, mu_minus=mu_minus, gamma_bar=gamma_bar,
@@ -126,41 +123,34 @@ def stiffness_tridiag(metric: RadialMetric, c: float) -> tuple[np.ndarray, np.nd
     diag = np.zeros(g.N)
     diag[:-1] += k_cell
     diag[1:] += k_cell
-    off = -k_cell
-    return diag, off
+    return diag, -k_cell
 
 
-def assemble_operator(op: RadialOperator, grid: RadialGrid | None = None,
-                      dirichlet_outer: bool = False,
-                      scal: np.ndarray | None = None) -> AssembledProblem:
+def assemble_operator(op: RadialOperator,
+                      dirichlet_outer: bool = False) -> AssembledProblem:
     """Assemble the symmetric banded generalized eigenproblem (K, M)."""
     metric = op.metric
-    g = metric.grid
-    if grid is not None and grid is not g:
-        raise ValueError("operator metric and grid disagree")
     diag, off = stiffness_tridiag(metric, op.c)
     w = volume_form(metric)
-    pot = np.zeros(g.N)
+    pot = np.zeros(metric.grid.N)
     if op.mode != 0.0:
         # a machine-zero of b at a cap gets a floor; the huge resulting
         # diagonal correctly pins nonzero modes to vanish at the pole
         safe_b = np.maximum(metric.b, 1e-8 * metric.b.max())
         pot += op.c * op.mode / safe_b**2
     if op.q != 0.0:
-        if scal is None:
-            scal = geometry.warped_scal(metric).values
-        pot += op.q * scal
+        pot += op.q * geometry.warped_scal(metric).values
     diag = diag + pot * w
     if dirichlet_outer:
         diag = diag[:-1].copy()
         off = off[:-1].copy()
         w = w[:-1].copy()
-    prob = AssembledProblem(diag=diag, off=off, mass=w,
+    return AssembledProblem(diag=diag, off=off, mass=w,
                             dirichlet_outer=dirichlet_outer)
-    return prob
 
 
-def rayleigh_quotient(prob: AssembledProblem, u: np.ndarray) -> float:
+def rayleigh_quotient(prob: AssembledProblem, u) -> float:
+    u = _as_values(u)
     return float(u @ prob.matvec(u)) / float(u @ (prob.mass * u))
 
 
@@ -174,6 +164,10 @@ def solve_ground_state(op: RadialOperator,
     eigenresidual ||(K - sigma M) u|| / ||M u|| below 1e-8.
     """
     prob = assemble_operator(op, dirichlet_outer=dirichlet_outer)
+    return _inverse_iteration(prob, tol, max_iter)
+
+
+def _inverse_iteration(prob: AssembledProblem, tol=1e-10, max_iter=200):
     N = prob.N
     w = prob.mass
     # shift strictly below the spectrum: Gershgorin row bound of the pencil
@@ -229,9 +223,31 @@ def solve_ground_state(op: RadialOperator,
     if np.any(u <= 0) and np.any(u >= 0) and (u.min() < -1e-8 * u.max()):
         raise EigensolverError("ground state is sign-indefinite (discretization pathology)")
     u = np.abs(u) if u.min() < 0 else u
-    if dirichlet_outer:
+    if prob.dirichlet_outer:
         u = np.concatenate([u, [0.0]])
     return float(sigma), RadialField(u)
+
+
+@dataclass(frozen=True)
+class LambdaProblem:
+    """The pencil of 4 Lap + scal on one metric and its ground state."""
+
+    prob: AssembledProblem
+    value: float
+    omega: RadialField
+
+
+def lambda_problem(metric: RadialMetric) -> LambdaProblem:
+    """The lambda problem of the metric, assembled and solved once."""
+    return metric.derived(_lambda_problem)
+
+
+def _lambda_problem(metric: RadialMetric) -> LambdaProblem:
+    prob = assemble_operator(RadialOperator(metric, q=1.0, c=4.0))
+    value, omega = _inverse_iteration(prob)
+    for shared in (prob.diag, prob.off, prob.mass, omega.values):
+        shared.setflags(write=False)
+    return LambdaProblem(prob, value, omega)
 
 
 def eigen_residual(op: RadialOperator, sigma: float, u,
@@ -247,15 +263,33 @@ def eigen_residual(op: RadialOperator, sigma: float, u,
 FIT_EXPONENT_SENTINEL = np.inf
 
 
+def fit_power_model(x: np.ndarray, u: np.ndarray,
+                    bracket: tuple[float, float]) -> tuple[float, float, float]:
+    """Fit u ~ c0 + c1 x^e by a bounded search over e in bracket on the rms
+    residual of the linear least-squares solve; returns (c0, e, rms)."""
+    # imported on first use: scipy.optimize costs about 20 MB of memory
+    from scipy.optimize import minimize_scalar
+
+    def solve(e):
+        A = np.column_stack([np.ones_like(x), x**e])
+        coef = np.linalg.lstsq(A, u, rcond=None)[0]
+        return float(coef[0]), float(np.sqrt(np.mean((u - A @ coef) ** 2)))
+
+    res = minimize_scalar(lambda e: solve(e)[1], bounds=bracket,
+                          method="bounded", options={"xatol": 1e-8})
+    e = float(res.x)
+    c0, rms = solve(e)
+    return c0, e, rms
+
+
 def fit_asymptotics(u, grid: RadialGrid,
                     window: tuple[float, float] | None = None,
                     exponent_bracket: tuple[float, float] = (1e-3, 4.0),
                     ) -> tuple[float, float, float]:
     """Least-squares fit u ~ c0 + c1 x^e over the window.
 
-    One-dimensional search over the exponent e with a linear solve for
-    (c0, c1) at each candidate.  Returns (c0, e, rms residual); a field that
-    is constant to machine precision returns the +inf exponent sentinel.
+    Returns (c0, e, rms residual) of `fit_power_model`; a field that is
+    constant to machine precision returns the +inf exponent sentinel.
     """
     vals = _as_values(u)
     x = grid.x
@@ -272,17 +306,4 @@ def fit_asymptotics(u, grid: RadialGrid,
     scale = np.max(np.abs(ys))
     if scale == 0 or np.ptp(ys) <= 1e-13 * scale:
         return float(np.mean(ys)), FIT_EXPONENT_SENTINEL, 0.0
-
-    def sq_resid(e):
-        A = np.column_stack([np.ones_like(xs), xs**e])
-        coef, _, _, _ = np.linalg.lstsq(A, ys, rcond=None)
-        r = ys - A @ coef
-        return float(r @ r), coef
-
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda e: sq_resid(e)[0],
-                          bounds=exponent_bracket, method="bounded",
-                          options={"xatol": 1e-8})
-    e = float(res.x)
-    rss, coef = sq_resid(e)
-    return float(coef[0]), e, float(np.sqrt(rss / len(ys)))
+    return fit_power_model(xs, ys, exponent_bracket)

@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from conelab import entropy, geometry, link as linkmod
+from conelab import entropy, geometry, link as linkmod, spectral
 from conelab.entropy import (
     compute_lambda,
     compute_mu,
     compute_nu,
     constraint_residual,
-    evaluate_lambda_functional,
     evaluate_w,
     first_variation_lambda,
     mu_simple,
@@ -72,7 +71,8 @@ class TestLambda:
         assert np.min(scal) - 1e-10 <= lam <= avg + 1e-10
 
     def test_functional_matches_report(self, s4_fine, s4_lambda):
-        val = evaluate_lambda_functional(s4_fine, s4_lambda.omega)
+        prob = spectral.lambda_problem(s4_fine).prob
+        val = spectral.rayleigh_quotient(prob, s4_lambda.omega)
         assert abs(val - s4_lambda.value) < 1e-12 * abs(s4_lambda.value)
 
 
@@ -216,6 +216,27 @@ class TestNu:
         n2 = compute_nu(met.scaled(2.0), "minus")
         assert abs(n2.value - n1.value) < 1e-5
         assert abs(n2.tau_star - 2.0 * n1.tau_star) < 1e-3 * n1.tau_star
+
+    def test_curvature_and_ground_state_derived_once(self, monkeypatch):
+        """The curvature and the tau-independent lambda ground state are
+        computed once per metric, however many tau slices compute_nu
+        samples."""
+        calls = {"_ricci_pair": 0, "_inverse_iteration": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(geometry, "_ricci_pair")
+        count(spectral, "_inverse_iteration")
+        met = sphere_suspension(linkmod.sphere_link(3, 12), 120, p=2.0)
+        rep = compute_nu(met, "minus")
+        assert len(rep.tau_profile) > 30
+        assert calls == {"_ricci_pair": 1, "_inverse_iteration": 1}
 
     def test_sign_preconditions(self, s3, hyperbolic_metric):
         met = sphere_suspension(s3, 300, radius=1.0)

@@ -10,7 +10,6 @@ from conelab import entropy, flow, geometry, link as linkmod, spectral
 from conelab.flow import (
     FlowConfig,
     FlowError,
-    FlowState,
     deturck_vector_field,
     flow_rhs,
     monotonicity_report,
@@ -24,11 +23,6 @@ from conelab.geometry import (
     smooth_cutoff,
     sphere_suspension,
 )
-
-
-def _state(metric):
-    return FlowState(t=0.0, metric=metric, sup_ric=0.0,
-                     sup_ric_normalized=0.0, sup_w=0.0, cone_factor=1.0)
 
 
 class TestDeTurckField:
@@ -86,7 +80,7 @@ class TestFlowRHS:
         met = flat_cone(s3, g)
         cfg = FlowConfig(t_end=1.0, normalization="steady",
                          entropy_kind="none", reference=met)
-        da, db = flow_rhs(_state(met), cfg)
+        da, db = flow_rhs(met, cfg)
         sel = g.x >= 0.05
         assert np.max(np.abs(da[sel])) < 1e-6
         assert np.max(np.abs(db[sel])) < 1e-6
@@ -96,7 +90,7 @@ class TestFlowRHS:
         ref = flat_cone(s3, g)
         cfg = FlowConfig(t_end=1.0, normalization="steady",
                          entropy_kind="none", reference=ref)
-        da, db = flow_rhs(_state(ref.scaled(4.0)), cfg)
+        da, db = flow_rhs(ref.scaled(4.0), cfg)
         sel = g.x >= 0.05
         assert np.max(np.abs(da[sel])) < 1e-6
         assert np.max(np.abs(db[sel])) < 1e-6
@@ -106,7 +100,7 @@ class TestFlowRHS:
         met = sphere_suspension(s3, 500, radius=math.sqrt(3.0))
         cfg = FlowConfig(t_end=1.0, normalization="shrink",
                          entropy_kind="none", reference=met)
-        da, db = flow_rhs(_state(met), cfg)
+        da, db = flow_rhs(met, cfg)
         sl = slice(10, -10)
         assert np.max(np.abs(da[sl])) < 1e-8
         assert np.max(np.abs(db[sl])) < 1e-8
@@ -126,7 +120,7 @@ class TestFlowRHS:
         def rhs_at(eps):
             met = RadialMetric(link=s3, grid=g, a=fc.a.copy(),
                                b=fc.b + eps * hb)
-            da, db = flow_rhs(_state(met), cfg)
+            da, db = flow_rhs(met, cfg)
             return np.concatenate([da, db])
 
         deriv = [(rhs_at(eps) - rhs_at(-eps)) / (2.0 * eps)
@@ -134,6 +128,38 @@ class TestFlowRHS:
         d1 = np.linalg.norm(deriv[0] - deriv[1])
         d2 = np.linalg.norm(deriv[1] - deriv[2])
         assert abs(math.log2(d1 / d2) - 2.0) < 0.2
+
+
+class TestImplicitBands:
+    @staticmethod
+    def _setup(n_frozen):
+        g = RadialGrid.graded(40, 1.0, p=2.0)
+        coeff = np.random.default_rng(3).uniform(0.5, 2.0, g.N)
+        frozen = np.zeros(g.N, dtype=bool)
+        frozen[:n_frozen] = True
+        frozen[-n_frozen:] = True
+        return g, coeff, frozen
+
+    def test_equals_dense_operator(self):
+        g, coeff, frozen = self._setup(4)
+        dt = 1e-3
+        N = g.N
+        D2 = np.column_stack([g.d2(e) for e in np.eye(N)])
+        expect = np.eye(N) - dt * coeff[:, None] * D2
+        expect[frozen] = np.eye(N)[frozen]
+        ab = flow._implicit_bands(g, coeff, dt, frozen)
+        # banded storage: ab[3 + i - j, j] = A[i, j]
+        dense = np.zeros((N, N))
+        for k in range(7):
+            j = np.arange(max(0, 3 - k), min(N, N + 3 - k))
+            dense[j + k - 3, j] = ab[k, j]
+        assert np.array_equal(dense, expect)
+
+    def test_live_one_sided_row_rejected(self):
+        # rows 0-2 and N-3..N-1 have one-sided 7-point stencils
+        g, coeff, frozen = self._setup(2)
+        with pytest.raises(FlowError):
+            flow._implicit_bands(g, coeff, 1e-3, frozen)
 
 
 class TestFixedPointRuns:

@@ -52,6 +52,28 @@ def test_metric_validation(s3):
         RadialMetric(link=s3, grid=g, a=np.ones(50), b=g.x, gamma=0.0)
 
 
+def test_metric_and_grid_are_read_only(s3):
+    x = np.linspace(0.02, 1.0, 50)
+    a = np.ones(50)
+    g = RadialGrid(x=x, L=1.0)
+    met = RadialMetric(link=s3, grid=g, a=a, b=x)
+    with pytest.raises(ValueError):
+        met.a[0] = 2.0
+    with pytest.raises(ValueError):
+        met.b[0] = 2.0
+    with pytest.raises(ValueError):
+        g.x[0] = 0.01
+    with pytest.raises(ValueError):
+        warped_ricci(met)[0].values[0] = 0.0
+    # the metric keeps copies: the caller's arrays stay writable and
+    # writing to them leaves the metric and its derived data unchanged
+    ric = warped_ricci(met)[1].values.copy()
+    a[0] = 2.0
+    x[0] = 0.01
+    assert met.a[0] == 1.0 and g.x[0] == 0.02
+    assert np.array_equal(warped_ricci(met)[1].values, ric)
+
+
 class TestCurvature:
     def test_round_s4_is_einstein(self, s3):
         met = sphere_suspension(s3, 800, radius=1.0, p=1.0)

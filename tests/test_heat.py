@@ -116,8 +116,8 @@ class TestConeKernel:
         assert a == b
 
     def test_overflow_scaling_flag(self):
-        with pytest.raises(OverflowError):
-            cone_kernel_mode(3, 1.0, 1e-6, 1.0, 1.0, overflow_scaling=False)
+        # z = x y / 2t = 5e5 is far past the unscaled range; the kernel is
+        # always assembled from the scaled Bessel function
         val = cone_kernel_mode(3, 1.0, 1e-6, 1.0, 1.0)
         assert np.isfinite(val)
 
@@ -237,5 +237,3 @@ def test_heat_convolve_resolvent_identity(s3):
 def test_params_validation(s3):
     with pytest.raises(ValueError):
         HeatKernelParams(link=s3, series_tol=0.0)
-    with pytest.raises(ValueError):
-        HeatKernelParams(link=s3, mode_cutoff=99)

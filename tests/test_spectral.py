@@ -80,12 +80,6 @@ class TestAssembly:
         with pytest.raises(ValueError):
             RadialOperator(flat_cone(s3, g), mode=-1.0)
 
-    def test_grid_mismatch_rejected(self, s3):
-        g = RadialGrid.graded(100, 1.0)
-        other = RadialGrid.graded(120, 1.0)
-        with pytest.raises(ValueError):
-            assemble_operator(RadialOperator(flat_cone(s3, g)), grid=other)
-
 
 class TestGroundState:
     def test_dirichlet_mode_matches_bessel_zero(self, s3):
