@@ -13,6 +13,7 @@ from .link import (
     sphere_link,
 )
 from .geometry import (
+    ConelabError,
     RadialField,
     RadialGrid,
     RadialMetric,
@@ -32,7 +33,6 @@ from .spectral import (
     solve_ground_state,
 )
 from .heat import (
-    HeatKernelParams,
     bessel_i,
     cone_kernel_mode,
     heat_apply,
@@ -45,7 +45,6 @@ from .entropy import (
     compute_mu,
     compute_nu,
     first_variation_lambda,
-    mu_simple,
 )
 from .flow import (
     FlowConfig,
@@ -60,15 +59,14 @@ __all__ = [
     "__version__",
     "LinkData", "SpectrumTruncationError", "check_admissibility_gap",
     "check_tangential_stability", "get_link", "parse_link_file", "sphere_link",
-    "RadialField", "RadialGrid", "RadialMetric", "flat_cone", "perturbed_cone",
-    "sphere_suspension", "total_volume", "volume_form", "warped_ricci",
-    "warped_scal",
+    "ConelabError", "RadialField", "RadialGrid", "RadialMetric", "flat_cone",
+    "perturbed_cone", "sphere_suspension", "total_volume", "volume_form",
+    "warped_ricci", "warped_scal",
     "EigensolverError", "RadialOperator", "fit_asymptotics",
     "indicial_exponents", "solve_ground_state",
-    "HeatKernelParams", "bessel_i", "cone_kernel_mode", "heat_apply",
-    "heat_convolve", "mapping_exponent_report", "s1_plane_kernel_error",
+    "bessel_i", "cone_kernel_mode", "heat_apply", "heat_convolve",
+    "mapping_exponent_report", "s1_plane_kernel_error",
     "compute_lambda", "compute_mu", "compute_nu", "first_variation_lambda",
-    "mu_simple",
     "FlowConfig", "FlowError", "FlowState", "deturck_vector_field",
     "monotonicity_report", "run_flow",
 ]

@@ -33,7 +33,7 @@ SUBCOMMANDS = ("link-check", "lambda", "mu", "nu", "flow", "heat-check",
                "mapping", "convergence")
 
 
-class ConfigError(Exception):
+class ConfigError(geometry.ConelabError):
     pass
 
 
@@ -274,9 +274,9 @@ def write_csv(cfg: dict, name: str, header: list[str], rows) -> str:
     return path
 
 
-def svg_line_plot(path: str, xs, ys, title: str,
-                  width: int = 640, height: int = 400) -> None:
-    """Minimal static SVG polyline chart (no external plotting stack)."""
+def svg_line_plot(path: str, xs, ys, title: str) -> None:
+    """Minimal static 640x400 SVG polyline chart (no external plotting stack)."""
+    width, height = 640, 400
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     mx, pad = 60, 20
@@ -337,22 +337,22 @@ def cmd_link_check(cfg: dict) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_PROPERTY), report
 
 
-def _solution_fields(rep) -> dict:
+def _solution_fields(rep, grid: geometry.RadialGrid) -> dict:
     """Value, residuals and tip fit of a lambda or mu report."""
+    c0, e, fr = spectral.fit_asymptotics(rep.omega, grid)
     return {
         "value": rep.value,
         "el_residual": rep.el_residual,
         "constraint_residual": rep.constraint_residual,
-        "fitted_exponent": (None if not np.isfinite(rep.fitted_exponent)
-                            else rep.fitted_exponent),
-        "fit_constant": rep.fit_constant,
-        "fit_residual": rep.fit_residual,
+        "fitted_exponent": None if not np.isfinite(e) else e,
+        "fit_constant": c0,
+        "fit_residual": fr,
     }
 
 
-def _mu_report_dict(rep: entropy.MuReport) -> dict:
+def _mu_report_dict(rep: entropy.MuReport, grid: geometry.RadialGrid) -> dict:
     return {
-        **_solution_fields(rep),
+        **_solution_fields(rep, grid),
         "tau": rep.tau, "variant": rep.variant,
         "multiplier": rep.multiplier,
         "normalization_identity": rep.normalization_identity,
@@ -370,22 +370,25 @@ def _residual_gate(cfg: dict, report: dict, rep) -> tuple[int, dict]:
 
 
 def cmd_lambda(cfg: dict) -> tuple[int, dict]:
-    rep = entropy.compute_lambda(build_metric(cfg))
+    metric = build_metric(cfg)
+    rep = entropy.compute_lambda(metric)
     report = _base_report(cfg, "lambda")
-    report.update(_solution_fields(rep))
+    report.update(_solution_fields(rep, metric.grid))
     return _residual_gate(cfg, report, rep)
 
 
 def cmd_mu(cfg: dict) -> tuple[int, dict]:
-    rep = entropy.compute_mu(build_metric(cfg), cfg["mu"]["tau"],
+    metric = build_metric(cfg)
+    rep = entropy.compute_mu(metric, cfg["mu"]["tau"],
                              variant=cfg["mu"]["variant"])
     report = _base_report(cfg, "mu")
-    report.update(_mu_report_dict(rep))
+    report.update(_mu_report_dict(rep, metric.grid))
     return _residual_gate(cfg, report, rep)
 
 
 def cmd_nu(cfg: dict) -> tuple[int, dict]:
-    rep = entropy.compute_nu(build_metric(cfg), variant=cfg["nu"]["variant"],
+    metric = build_metric(cfg)
+    rep = entropy.compute_nu(metric, variant=cfg["nu"]["variant"],
                              tau_range=(cfg["nu"]["tau_min"],
                                         cfg["nu"]["tau_max"]))
     report = _base_report(cfg, "nu")
@@ -394,7 +397,7 @@ def cmd_nu(cfg: dict) -> tuple[int, dict]:
         "tau_star": rep.tau_star,
         "variant": rep.variant,
         "lambda_value": rep.lambda_value,
-        "optimal_slice": _mu_report_dict(rep.mu_report),
+        "optimal_slice": _mu_report_dict(rep.mu_report, metric.grid),
     })
     if cfg["run"]["svg"]:
         svg_line_plot(os.path.join(output_dir(cfg), "tau_profile.svg"),
@@ -413,12 +416,6 @@ def cmd_flow(cfg: dict) -> tuple[int, dict]:
                                        gamma=cfg["metric"]["gamma"])
     elif f["reference"] != "initial":
         raise ConfigError("flow.reference must be 'initial' or 'flat_cone'")
-    if f["entropy"] not in ("none", "auto"):
-        matching = flow._MATCHING_ENTROPY[f["normalization"]]
-        if f["entropy"] != matching:
-            raise flow.FlowError(
-                f"entropy {f['entropy']!r} cannot be certified under the "
-                f"{f['normalization']!r} normalization (needs {matching!r})")
     fconf = flow.FlowConfig(
         t_end=f["t_end"], normalization=f["normalization"],
         reference=reference, cfl=f["cfl"],
@@ -433,8 +430,7 @@ def cmd_flow(cfg: dict) -> tuple[int, dict]:
     ok = True
     if fconf.entropy_kind != "none":
         mono = flow.monotonicity_report(
-            trajectory, fconf.entropy_kind, fconf,
-            tol_mono=cfg["tolerances"]["monotonicity"])
+            trajectory, fconf, tol_mono=cfg["tolerances"]["monotonicity"])
         report["monotonicity"] = {
             "which": mono.which,
             "min_successive_diff": mono.min_successive_diff,
@@ -491,9 +487,8 @@ def cmd_heat_check(cfg: dict) -> tuple[int, dict]:
 
 
 def cmd_mapping(cfg: dict) -> tuple[int, dict]:
-    link = build_link(cfg)
-    params = heat.HeatKernelParams(link=link)
-    rep = heat.mapping_exponent_report(params, cfg["mapping"]["exponent"])
+    rep = heat.mapping_exponent_report(build_link(cfg),
+                                       cfg["mapping"]["exponent"])
     report = _base_report(cfg, "mapping")
     report.update(rep)
     return (EXIT_OK if rep["pass"] else EXIT_PROPERTY), report
@@ -613,9 +608,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg["convergence"]["op"] = args.op
         cfg["run"]["subcommand"] = args.subcommand
         code, report = _RUNNERS[args.subcommand](cfg)
-    except (ConfigError, OSError, ValueError, flow.FlowError,
-            linkmod.SpectrumTruncationError,
-            spectral.EigensolverError) as exc:
+    except (geometry.ConelabError, OSError, ValueError) as exc:
         print(f"conelab: error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
 

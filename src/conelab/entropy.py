@@ -36,8 +36,13 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import geometry
-from .geometry import RadialMetric, RadialField, volume_form, _as_values
-from .spectral import fit_asymptotics, lambda_problem
+from .geometry import (ConelabError, RadialMetric, RadialField, volume_form,
+                       _as_values)
+from .spectral import lambda_problem
+
+
+class NewtonError(ConelabError):
+    """No Newton start of the mu problem converged."""
 
 
 def _s_m(m: int, tau: float) -> float:
@@ -50,22 +55,17 @@ class LambdaReport:
     omega: RadialField
     el_residual: float
     constraint_residual: float
-    fitted_exponent: float
-    fit_constant: float
-    fit_residual: float
 
 
-def compute_lambda(metric: RadialMetric, fit_window=None) -> LambdaReport:
+def compute_lambda(metric: RadialMetric) -> LambdaReport:
     """Ground state of 4*Lap + scal with unit L2 constraint."""
     lp = lambda_problem(metric)
     u, w = lp.omega.values, lp.prob.mass
     r = lp.prob.matvec(u) - lp.value * w * u
     el_res = float(np.linalg.norm(r) / np.linalg.norm(w * u))
     cons = abs(float(u @ (w * u)) - 1.0)
-    c0, e, fr = fit_asymptotics(u, metric.grid, window=fit_window)
     return LambdaReport(value=lp.value, omega=lp.omega, el_residual=el_res,
-                        constraint_residual=cons, fitted_exponent=e,
-                        fit_constant=c0, fit_residual=fr)
+                        constraint_residual=cons)
 
 
 # -- the W entropies -------------------------------------------------------------
@@ -73,10 +73,17 @@ def compute_lambda(metric: RadialMetric, fit_window=None) -> LambdaReport:
 _SIGN = {"minus": +1.0, "plus": -1.0}
 
 
+def _sign(variant: str) -> float:
+    """The sign e of the W variant (+1 shrinker, -1 expander)."""
+    if variant not in _SIGN:
+        raise ValueError(f"unknown variant {variant!r}; use 'minus' or 'plus'")
+    return _SIGN[variant]
+
+
 def evaluate_w(metric: RadialMetric, omega, tau: float, variant: str = "minus",
                ) -> float:
     """W entropy of a trial weight; the constraint is not enforced here."""
-    e = _SIGN[variant]
+    e = _sign(variant)
     if tau <= 0:
         raise ValueError("tau must be positive")
     prob = lambda_problem(metric).prob
@@ -106,9 +113,6 @@ class MuReport:
     el_residual: float
     constraint_residual: float
     normalization_identity: float  # s_m int f e^{-f} dV; m/2 + e*value at optimal tau
-    fitted_exponent: float
-    fit_constant: float
-    fit_residual: float
     basin_values: tuple[float, ...] = ()
     nonconvex: bool = False
 
@@ -124,25 +128,28 @@ def _el_residual(prob, m, tau, e, u, mu):
     return g1, g2, float(np.linalg.norm(g1) / scale)
 
 
-def _newton_el(prob, m, tau, e, u0, mu0, tol=1e-10, accept=1e-9,
-               max_iter=80):
+_NEWTON_TOL = 1e-10
+_NEWTON_ACCEPT = 1e-9  # a stalled iterate below this counts as converged
+
+
+def _newton_el(prob, m, tau, e, u0, mu0):
     """Damped Newton on the EL system with the normalization constraint.
 
     Unknowns (omega, mu); the Jacobian is tridiagonal plus a rank-one border
     from the constraint row, solved by block elimination with two banded
     solves.  Steps are shortened to keep omega strictly positive.  The
     residual of the discrete system bottoms out at a roundoff floor set by
-    the curvature quadrature, so a stalled iterate below `accept` still
+    the curvature quadrature, so a stalled iterate below _NEWTON_ACCEPT still
     counts as converged.
     """
     w = prob.mass
     sm = _s_m(m, tau)
     u = u0.copy()
     mu = mu0
-    for it in range(max_iter):
+    for it in range(80):
         g1, g2, rel = _el_residual(prob, m, tau, e, u, mu)
         res = math.hypot(rel, g2)
-        if res < tol:
+        if res < _NEWTON_TOL:
             return u, mu, True
         # tridiagonal block d g1 / d omega
         ab = -tau * prob.banded()
@@ -153,10 +160,10 @@ def _newton_el(prob, m, tau, e, u0, mu0, tol=1e-10, accept=1e-9,
             y1 = solve_banded((1, 1), ab, -g1)
             y2 = solve_banded((1, 1), ab, -bvec)
         except np.linalg.LinAlgError:
-            return u, mu, res < accept
+            return u, mu, res < _NEWTON_ACCEPT
         denom = float(cvec @ y2)
         if denom == 0.0 or not np.isfinite(denom):
-            return u, mu, res < accept
+            return u, mu, res < _NEWTON_ACCEPT
         dmu = (-g2 - float(cvec @ y1)) / denom
         du = y1 + dmu * y2
         step = 1.0
@@ -173,21 +180,20 @@ def _newton_el(prob, m, tau, e, u0, mu0, tol=1e-10, accept=1e-9,
                 break
             step *= 0.5
         else:
-            return u, mu, res < accept
+            return u, mu, res < _NEWTON_ACCEPT
         u, mu = u_try, mu_try
-    return u, mu, res < accept
+    return u, mu, res < _NEWTON_ACCEPT
 
 
 def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
-               starts=("constant", "ground"), omega0=None,
-               fit_window=None) -> MuReport:
+               starts=("constant", "ground"), omega0=None) -> MuReport:
     """Constrained critical value mu of the W entropy at fixed tau.
 
     Newton iteration from several starting weights; the lowest converged
     entropy is reported and disagreement between basins raises the
     nonconvex flag.  The "ground" start is the lambda minimizer.
     """
-    e = _SIGN[variant]
+    e = _sign(variant)
     if tau <= 0:
         raise ValueError("tau must be positive")
     m = metric.m
@@ -215,7 +221,7 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
         if ok:
             sols.append((mu, u))
     if not sols:
-        raise RuntimeError(f"mu_{variant} Newton iteration failed at tau={tau}")
+        raise NewtonError(f"mu_{variant} Newton iteration failed at tau={tau}")
     basin = tuple(sorted(mu for mu, _ in sols))
     nonconvex = (len(basin) > 1 and basin[-1] - basin[0] >
                  1e-8 * max(1.0, abs(basin[0])))
@@ -227,12 +233,10 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
     # doubles as a distance-from-optimal-tau diagnostic
     f = -2.0 * np.log(u)
     ident = sm * float(np.sum(w * f * u * u))
-    c0, ex, fr = fit_asymptotics(u, metric.grid, window=fit_window)
     return MuReport(value=float(mu), tau=tau, variant=variant,
                     omega=RadialField(u), multiplier=float(mu),
                     el_residual=el_res, constraint_residual=abs(g2),
                     normalization_identity=ident,
-                    fitted_exponent=ex, fit_constant=c0, fit_residual=fr,
                     basin_values=basin, nonconvex=nonconvex)
 
 
@@ -247,9 +251,14 @@ class NuReport:
     mu_profile: np.ndarray = field(repr=False)
 
 
+# points of the coarse log-tau scan, and the golden-section stopping width
+# in log tau
+_N_SCAN = 25
+_LOG_TAU_TOL = 1e-9
+
+
 def compute_nu(metric: RadialMetric, variant: str = "minus",
-               tau_range=(1e-3, 1e3), n_scan: int = 25,
-               tol: float = 1e-9) -> NuReport:
+               tau_range=(1e-3, 1e3)) -> NuReport:
     """Optimal-in-tau entropy: nu_- = inf_tau mu_-, nu_+ = sup_tau mu_+.
 
     Requires lambda(g) > 0 for the shrinker variant and lambda(g) < 0 for
@@ -258,12 +267,12 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     grid, then golden-section refinement, warm-starting each solve from the
     neighboring optimizer.
     """
+    sign = _sign(variant)  # minimize sign * mu
     lam = lambda_problem(metric).value
     if variant == "minus" and lam <= 0:
         raise ValueError("nu_minus requires lambda(g) > 0")
     if variant == "plus" and lam >= 0:
         raise ValueError("nu_plus requires lambda(g) < 0")
-    sign = 1.0 if variant == "minus" else -1.0  # minimize sign * mu
 
     cache: dict[float, MuReport] = {}
     warm = {"omega": None}
@@ -276,10 +285,10 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
             warm["omega"] = rep.omega.values
         return sign * cache[log_tau].value
 
-    lts = np.linspace(math.log(tau_range[0]), math.log(tau_range[1]), n_scan)
+    lts = np.linspace(math.log(tau_range[0]), math.log(tau_range[1]), _N_SCAN)
     vals = np.array([mu_at(lt) for lt in lts])
     k = int(np.argmin(vals))
-    if k in (0, n_scan - 1):
+    if k in (0, _N_SCAN - 1):
         warnings.warn("optimal tau at the edge of the scan range", stacklevel=2)
         lo, hi = (lts[0], lts[1]) if k == 0 else (lts[-2], lts[-1])
     else:
@@ -289,7 +298,7 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = mu_at(c), mu_at(d)
-    while hi - lo > tol:
+    while hi - lo > _LOG_TAU_TOL:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
@@ -306,11 +315,6 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     return NuReport(value=best.value, tau_star=best.tau, variant=variant,
                     lambda_value=lam, mu_report=best,
                     tau_profile=taus, mu_profile=mus)
-
-
-def mu_simple(metric: RadialMetric, variant: str = "minus") -> MuReport:
-    """The tau = 1/2 slice of the mu entropy."""
-    return compute_mu(metric, 0.5, variant=variant)
 
 
 # -- first variation of lambda ---------------------------------------------------

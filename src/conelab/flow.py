@@ -30,14 +30,15 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import entropy, link as linkmod, spectral
-from .geometry import RadialMetric, RadialField, warped_ricci
+from .geometry import ConelabError, RadialMetric, RadialField, warped_ricci
 
 
-class FlowError(Exception):
+class FlowError(ConelabError):
     pass
 
 
 _KAPPA = {"steady": 0.0, "shrink": 1.0, "expand": -1.0}
+# the entropy that is monotone under each normalization
 _MATCHING_ENTROPY = {"steady": "lambda", "shrink": "mu_minus",
                      "expand": "mu_plus"}
 
@@ -49,13 +50,8 @@ class FlowConfig:
     reference: RadialMetric | None = None  # None: the initial metric
     cfl: float = 0.4                       # dt = cfl * min(dx)^2 (evolved nodes)
     sample_period: float = 0.0             # 0: diagnostics only at start/end
-    entropy_kind: str = "auto"             # lambda | mu_minus | mu_plus | none
-    entropy_tau: float = 0.5
-    n_boundary: int = 4
-    freeze_factor: float = 3.0
+    entropy_kind: str = "auto"             # auto | the matching one | none
     cone_drift_bound: float = 1e-3
-    min_perturbation_order: float = 0.1
-    max_steps: int = 5_000_000
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -64,12 +60,13 @@ class FlowConfig:
             raise ValueError("cfl factor must lie in (0, 1)")
         if self.normalization not in _KAPPA:
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.n_boundary < 3:
-            raise ValueError("need at least 3 frozen nodes per end")
+        matching = _MATCHING_ENTROPY[self.normalization]
         if self.entropy_kind == "auto":
-            self.entropy_kind = _MATCHING_ENTROPY[self.normalization]
-        if self.entropy_kind not in ("lambda", "mu_minus", "mu_plus", "none"):
-            raise ValueError(f"unknown entropy kind {self.entropy_kind!r}")
+            self.entropy_kind = matching
+        if self.entropy_kind not in (matching, "none"):
+            raise ValueError(
+                f"entropy {self.entropy_kind!r} cannot be certified under the "
+                f"{self.normalization!r} normalization (needs {matching!r})")
 
 
 @dataclass
@@ -138,8 +135,7 @@ def _implicit_bands(grid, coeff, dt, frozen):
     return ab
 
 
-def run_flow(initial: RadialMetric, config: FlowConfig,
-             verbose: bool = False) -> list[FlowState]:
+def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     """Integrate the flow from `initial`; returns the sampled trajectory.
 
     Implicit-explicit stepping: the diagonal diffusion u''/a^2 is solved
@@ -165,12 +161,11 @@ def run_flow(initial: RadialMetric, config: FlowConfig,
         vmax = float(np.max(np.abs(v)))
         if vmax > 1e-10:
             c0, e, _ = spectral.fit_asymptotics(v, grid)
-            if not np.isfinite(e) or e < cfg.min_perturbation_order \
-                    or abs(c0) > 0.1 * vmax:
+            if not np.isfinite(e) or e < 0.1 or abs(c0) > 0.1 * vmax:
                 raise FlowError(
                     "initial metric is not an admissible perturbation of "
                     "the reference (tip deviation does not decay)")
-    nb = cfg.n_boundary
+    nb = 4  # frozen nodes at least, per end
     if N < 2 * nb + 8:
         raise FlowError("grid too small for the frozen boundary bands")
     frozen = np.zeros(N, dtype=bool)
@@ -180,7 +175,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig,
     # (tips and smooth caps); freeze every node where that rate beats the
     # grid-scale diffusion damping, otherwise those nodes blow up
     dx_loc = np.gradient(grid.x)
-    margin = cfg.freeze_factor * math.sqrt(2.0 * initial.link.n) * dx_loc
+    margin = 3.0 * math.sqrt(2.0 * initial.link.n) * dx_loc
     frozen |= initial.b < margin
     first_live = int(np.argmin(frozen))
     last_live = N - 1 - int(np.argmin(frozen[::-1]))
@@ -194,7 +189,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig,
     dx_live = np.diff(grid.x)[first_live:last_live]
     dt = cfg.cfl * float(np.min(dx_live)) ** 2
     n_steps = int(math.ceil(cfg.t_end / dt))
-    if n_steps > cfg.max_steps:
+    if n_steps > 5_000_000:
         raise FlowError(f"step-size collapse: {n_steps} steps required")
     dt = cfg.t_end / n_steps
 
@@ -232,7 +227,9 @@ def run_flow(initial: RadialMetric, config: FlowConfig,
             ev = entropy.compute_lambda(met).value
         elif cfg.entropy_kind in ("mu_minus", "mu_plus"):
             variant = "minus" if cfg.entropy_kind == "mu_minus" else "plus"
-            ev = entropy.compute_mu(met, cfg.entropy_tau, variant=variant).value
+            # tau = 1/(2 |kappa|) = 1/2, the scale at which a fixed point
+            # Ric = kappa g of the normalized flow is a soliton
+            ev = entropy.compute_mu(met, 0.5, variant=variant).value
         # a bare copy: the trajectory must not keep each sample's memo alive
         return FlowState(t=t, metric=replace(met),
                          sup_ric=float(np.max(np.abs(ric))),
@@ -265,10 +262,6 @@ def run_flow(initial: RadialMetric, config: FlowConfig,
             trajectory.append(diagnostics(t, metric))
             while next_sample <= t + 1e-12:
                 next_sample += cfg.sample_period
-            if verbose:
-                s = trajectory[-1]
-                print(f"t={s.t:.4f} sup|Ric-kg|={s.sup_ric_normalized:.3e} "
-                      f"entropy={s.entropy_value}")
     return trajectory
 
 
@@ -283,41 +276,31 @@ class MonotonicityReport:
     stationarity_ok: bool | None
 
 
-def monotonicity_report(trajectory: list[FlowState], which: str,
-                        config: FlowConfig, tol_mono: float = 1e-7,
-                        tol_const: float = 1e-10,
-                        tol_stationary: float = 1e-6) -> MonotonicityReport:
+def monotonicity_report(trajectory: list[FlowState], config: FlowConfig,
+                        tol_mono: float = 1e-7) -> MonotonicityReport:
     """Check the sampled entropy sequence for monotone increase.
 
-    A constant sequence (total variation below tol_const) is cross-checked
-    against the stationarity criterion: the flow is at a fixed point exactly
-    when Ric = kappa g, so sup |Ric - kappa g| at the final state must be
-    small for a constant entropy to be consistent.
+    The entropy is the one the config sampled, which FlowConfig guarantees
+    matches the normalization.  A constant sequence (total variation below
+    1e-10) is cross-checked against the stationarity criterion: the flow is
+    at a fixed point exactly when Ric = kappa g, so sup |Ric - kappa g| at
+    the final state must be below 1e-6 for a constant entropy to be
+    consistent.
     """
-    if which not in ("lambda", "mu_minus", "mu_plus"):
-        raise ValueError(f"unknown entropy kind {which!r}")
-    if which != config.entropy_kind:
-        raise FlowError(
-            f"trajectory sampled {config.entropy_kind!r}, requested {which!r}")
-    expected = _MATCHING_ENTROPY[config.normalization]
-    if which != expected:
-        raise FlowError(
-            f"{which} monotonicity needs the {expected!r}-matching "
-            f"normalization, flow ran {config.normalization!r}")
     vals = np.array([s.entropy_value for s in trajectory], dtype=float)
     if np.any(~np.isfinite(vals)):
         raise FlowError("trajectory has missing entropy samples")
     diffs = np.diff(vals)
     min_diff = float(np.min(diffs)) if len(diffs) else 0.0
     scale = max(1.0, float(np.max(np.abs(vals))))
-    constant = bool(np.ptp(vals) <= tol_const * scale)
+    constant = bool(np.ptp(vals) <= 1e-10 * scale)
     passed = min_diff >= -tol_mono
     stat_sup = None
     stat_ok = None
     if constant:
         stat_sup = trajectory[-1].sup_ric_normalized
-        stat_ok = stat_sup < tol_stationary
-    return MonotonicityReport(which=which, values=vals,
+        stat_ok = stat_sup < 1e-6
+    return MonotonicityReport(which=config.entropy_kind, values=vals,
                               min_successive_diff=min_diff, passed=passed,
                               constant=constant, stationarity_sup=stat_sup,
                               stationarity_ok=stat_ok)

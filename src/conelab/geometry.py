@@ -30,6 +30,10 @@ CONE_AND_CAP = "cone_and_cap"
 STENCIL = 7
 
 
+class ConelabError(Exception):
+    """Base of the solver and configuration errors conelab raises."""
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

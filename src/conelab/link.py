@@ -14,8 +14,10 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .geometry import ConelabError
 
-class SpectrumTruncationError(Exception):
+
+class SpectrumTruncationError(ConelabError):
     """The supplied spectrum does not reach far enough to decide a condition."""
 
 
@@ -69,9 +71,9 @@ class LinkData:
     def eigenvalues(self, include_zero=True):
         return [ev for ev, _ in self.laplace_spectrum if include_zero or ev > 0]
 
-    def scal_is_normalized(self, tol=1e-9) -> bool:
+    def scal_is_normalized(self) -> bool:
         """True iff scal_F = n(n-1), the normalization the stability checks assume."""
-        return abs(self.scal_F - self.n * (self.n - 1)) <= tol * max(1.0, self.n**2)
+        return abs(self.scal_F - self.n * (self.n - 1)) <= 1e-9 * max(1.0, self.n**2)
 
 
 def _sphere_harmonic_multiplicity(n: int, k: int) -> int:

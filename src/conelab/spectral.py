@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .geometry import RadialGrid, RadialMetric, RadialField, volume_form, _as_values
+from .geometry import (ConelabError, RadialGrid, RadialMetric, RadialField,
+                       volume_form, _as_values)
 from . import geometry
 
 
-class EigensolverError(Exception):
+class EigensolverError(ConelabError):
     pass
 
 
@@ -154,20 +155,18 @@ def rayleigh_quotient(prob: AssembledProblem, u) -> float:
     return float(u @ prob.matvec(u)) / float(u @ (prob.mass * u))
 
 
-def solve_ground_state(op: RadialOperator,
-                       dirichlet_outer: bool = False,
-                       tol: float = 1e-10,
-                       max_iter: int = 200) -> tuple[float, RadialField]:
+def solve_ground_state(op: RadialOperator, dirichlet_outer: bool = False,
+                       ) -> tuple[float, RadialField]:
     """Smallest eigenpair of (K, M) by shifted inverse iteration.
 
     Returns (sigma, u) with u M-normalized, sign-fixed positive and the
     eigenresidual ||(K - sigma M) u|| / ||M u|| below 1e-8.
     """
     prob = assemble_operator(op, dirichlet_outer=dirichlet_outer)
-    return _inverse_iteration(prob, tol, max_iter)
+    return _inverse_iteration(prob)
 
 
-def _inverse_iteration(prob: AssembledProblem, tol=1e-10, max_iter=200):
+def _inverse_iteration(prob: AssembledProblem):
     N = prob.N
     w = prob.mass
     # shift strictly below the spectrum: Gershgorin row bound of the pencil
@@ -184,7 +183,7 @@ def _inverse_iteration(prob: AssembledProblem, tol=1e-10, max_iter=200):
     sigma = r0
     best_res = np.inf
     stale = 0
-    for it in range(max_iter):
+    for it in range(200):
         ab = prob.banded(shift_mass=shift)
         try:
             v = solve_banded((1, 1), ab, w * u)
@@ -197,7 +196,7 @@ def _inverse_iteration(prob: AssembledProblem, tol=1e-10, max_iter=200):
         scale = np.linalg.norm(w * v)
         # the absolute residual bottoms out at roundoff of the stiffness
         # cancellation; accept a stagnated iterate once it is below the
-        # floor estimate instead of spinning to max_iter
+        # floor estimate instead of spinning to the iteration cap
         floor = 64.0 * np.finfo(float).eps * np.linalg.norm(prob.diag * v)
         if res < best_res * 0.9:
             best_res = res
@@ -206,7 +205,7 @@ def _inverse_iteration(prob: AssembledProblem, tol=1e-10, max_iter=200):
             stale += 1
         u = v
         sigma = sigma_new
-        if res <= tol * max(scale, scale * abs(sigma)):
+        if res <= 1e-10 * max(scale, scale * abs(sigma)):
             break
         if stale >= 2 and it >= 3 and res <= max(floor,
                                                  1e-8 * scale * (1 + abs(sigma))):
@@ -284,9 +283,8 @@ def fit_power_model(x: np.ndarray, u: np.ndarray,
 
 def fit_asymptotics(u, grid: RadialGrid,
                     window: tuple[float, float] | None = None,
-                    exponent_bracket: tuple[float, float] = (1e-3, 4.0),
                     ) -> tuple[float, float, float]:
-    """Least-squares fit u ~ c0 + c1 x^e over the window.
+    """Least-squares fit u ~ c0 + c1 x^e, e in [1e-3, 4], over the window.
 
     Returns (c0, e, rms residual) of `fit_power_model`; a field that is
     constant to machine precision returns the +inf exponent sentinel.
@@ -306,4 +304,4 @@ def fit_asymptotics(u, grid: RadialGrid,
     scale = np.max(np.abs(ys))
     if scale == 0 or np.ptp(ys) <= 1e-13 * scale:
         return float(np.mean(ys)), FIT_EXPONENT_SENTINEL, 0.0
-    return fit_power_model(xs, ys, exponent_bracket)
+    return fit_power_model(xs, ys, (1e-3, 4.0))

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conelab import cli
+from conelab import entropy, flow, geometry, spectral
 from conelab.cli import (
     ConfigError,
     EXIT_OK,
@@ -145,6 +145,23 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "bad" / "report.json").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["mu", "--N", "200"],
+        ["nu", "--N", "200"],
+        ["mu", "--N", "200", "--variant", "foo"],
+        ["nu", "--preset", "sphere_suspension", "--N", "200",
+         "--set", "nu.variant=foo"],
+    ])
+    def test_solver_failure_is_one_line(self, tmp_path, capsys, args):
+        # a Newton failure on the flat cone's roundoff-level curvature, and
+        # an unknown W variant, end in exit 1 and one message, no traceback
+        assert main([*args, "--output-dir", "x"]) == EXIT_OPERATIONAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("conelab: error: ")
+        if "foo" in " ".join(args):
+            assert "unknown variant 'foo'" in err[0]
+        assert not (tmp_path / "x" / "report.json").exists()
+
     def test_property_failure_still_writes_report(self, tmp_path, capsys):
         args = ["lambda", "--N", "400", "--output-dir", "p",
                 "--set", "tolerances.el_residual=1e-30"]
@@ -183,3 +200,31 @@ class TestConvergence:
     def test_unsupported_op_is_operational(self, capsys):
         assert main(["convergence", "--op", "mu"]) == EXIT_OPERATIONAL
         assert "mu" in capsys.readouterr().err
+
+
+def test_tip_fit_runs_only_in_the_report_layer(s3, monkeypatch):
+    """The solvers run no tip fit; a report runs one per solution it prints."""
+    calls = []
+    fit = spectral.fit_asymptotics
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    for module in (spectral, entropy):
+        if hasattr(module, "fit_asymptotics"):
+            monkeypatch.setattr(module, "fit_asymptotics", counted)
+
+    met = geometry.sphere_suspension(s3, 120, p=2.0)
+    entropy.compute_nu(met, "minus")
+    assert len(calls) == 0
+    assert main(["nu", "--preset", "sphere_suspension", "--N", "120",
+                 "--output-dir", "n"]) == EXIT_OK
+    assert len(calls) == 1
+
+    grid = geometry.RadialGrid.graded(100, 1.0, p=1.0)
+    cfg = flow.FlowConfig(t_end=4e-4, entropy_kind="lambda",
+                          sample_period=1e-4)
+    traj = flow.run_flow(geometry.flat_cone(s3, grid), cfg)
+    assert len(traj) >= 4
+    assert len(calls) == 1

@@ -14,7 +14,6 @@ from conelab.entropy import (
     constraint_residual,
     evaluate_w,
     first_variation_lambda,
-    mu_simple,
 )
 from conelab.geometry import (
     RadialGrid,
@@ -164,12 +163,6 @@ class TestMu:
         rep = compute_mu(s4_fine, 0.5, variant="plus")
         assert rep.el_residual < 1e-8
         assert rep.constraint_residual < 1e-12
-
-    def test_simple_slice_is_tau_half(self, s4_fine):
-        a = mu_simple(s4_fine)
-        b = compute_mu(s4_fine, 0.5)
-        assert abs(a.value - b.value) < 1e-12 * max(1.0, abs(b.value))
-        assert a.tau == 0.5
 
     def test_basin_bookkeeping(self, s4_fine):
         rep = compute_mu(s4_fine, 1.0 / 6.0)

@@ -196,7 +196,7 @@ class TestMonotonicity:
                          entropy_kind="lambda", sample_period=T / 55.0,
                          reference=ref)
         traj = run_flow(pert, cfg)
-        rep = monotonicity_report(traj, "lambda", cfg)
+        rep = monotonicity_report(traj, cfg)
         assert len(traj) >= 50
         assert rep.passed
         assert rep.min_successive_diff > 0.0
@@ -211,7 +211,7 @@ class TestMonotonicity:
         cfg = FlowConfig(t_end=0.01, normalization="shrink",
                          entropy_kind="mu_minus", sample_period=0.002)
         traj = run_flow(met, cfg)
-        rep = monotonicity_report(traj, "mu_minus", cfg)
+        rep = monotonicity_report(traj, cfg)
         assert rep.passed
         assert rep.constant
         assert rep.stationarity_ok
@@ -231,19 +231,15 @@ class TestMonotonicity:
         assert abs(vals[0] - 12.0) < 1e-6
         assert np.min(np.diff(vals)) > 0.0
 
-    def test_report_requires_matching_samples(self, s3):
-        met = sphere_suspension(s3, 300, radius=math.sqrt(3.0))
-        cfg = FlowConfig(t_end=1e-3, normalization="shrink",
-                         entropy_kind="mu_minus")
-        traj = run_flow(met, cfg)
-        with pytest.raises(FlowError, match="sampled"):
-            monotonicity_report(traj, "mu_plus", cfg)
-        cfg_bad = FlowConfig(t_end=1e-3, normalization="shrink",
-                             entropy_kind="mu_plus")
-        with pytest.raises(FlowError, match="normalization"):
-            monotonicity_report(traj, "mu_plus", cfg_bad)
-        with pytest.raises(ValueError):
-            monotonicity_report(traj, "what", cfg)
+    def test_report_requires_matching_samples(self):
+        # a flow samples only the entropy its normalization makes monotone,
+        # so a mismatched config is rejected before anything runs
+        for norm, kind in (("shrink", "mu_plus"), ("shrink", "lambda"),
+                           ("steady", "mu_minus"), ("expand", "what")):
+            with pytest.raises(ValueError, match="cannot be certified"):
+                FlowConfig(t_end=1e-3, normalization=norm, entropy_kind=kind)
+        assert FlowConfig(t_end=1e-3, normalization="shrink",
+                          entropy_kind="none").entropy_kind == "none"
 
 
 class TestPreconditions:
@@ -274,8 +270,6 @@ class TestPreconditions:
             FlowConfig(t_end=1.0, normalization="slow")
         with pytest.raises(ValueError):
             FlowConfig(t_end=1.0, entropy_kind="sigma")
-        with pytest.raises(ValueError):
-            FlowConfig(t_end=1.0, n_boundary=2)
 
     def test_entropy_kind_auto_matches_normalization(self):
         assert FlowConfig(t_end=1.0, normalization="shrink").entropy_kind \

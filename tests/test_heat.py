@@ -14,7 +14,6 @@ from scipy.special import ive, jv
 from conelab import geometry, link as linkmod
 from conelab.geometry import RadialGrid
 from conelab.heat import (
-    HeatKernelParams,
     bessel_i,
     classify_tip_behavior,
     cone_kernel_mode,
@@ -138,27 +137,22 @@ class TestConeKernel:
         assert nu_from_mode(3, 3.0) == 2.0
 
 
-@pytest.fixture(scope="module")
-def params(s3):
-    return HeatKernelParams(link=s3)
-
-
 class TestHeatApply:
-    def test_semigroup_property(self, params):
+    def test_semigroup_property(self, s3):
         grid = RadialGrid.graded(400, 3.0, p=2.0)
         u0 = lambda y: np.exp(-((y - 0.8) / 0.15) ** 2)
-        a1 = heat_apply(params, 0.004, u0, grid)
-        a12 = heat_apply(params, 0.006, a1.values, grid).values
-        direct = heat_apply(params, 0.010, u0, grid).values
+        a1 = heat_apply(s3, 0.004, u0, grid)
+        a12 = heat_apply(s3, 0.006, a1.values, grid).values
+        direct = heat_apply(s3, 0.010, u0, grid).values
         assert np.max(np.abs(a12 - direct)) < 1e-6 * np.max(np.abs(direct))
 
-    def test_short_time_approximate_identity(self, params):
+    def test_short_time_approximate_identity(self, s3):
         grid = RadialGrid.graded(400, 3.0, p=2.0)
         u0 = lambda y: np.exp(-((y - 0.8) / 0.15) ** 2)
-        out = heat_apply(params, 1e-5, u0, grid).values
+        out = heat_apply(s3, 1e-5, u0, grid).values
         assert np.max(np.abs(out - u0(grid.x))) < 2e-3 * np.max(u0(grid.x))
 
-    def test_spectral_decay_rate(self, params):
+    def test_spectral_decay_rate(self, s3):
         """On a Dirichlet-truncated cone the separated eigenfunction
         x^{-1} J_1(sqrt(sigma) x) decays like e^{-sigma t} under the kernel,
         up to outer-boundary leakage (kept below the 2 percent check)."""
@@ -170,19 +164,19 @@ class TestHeatApply:
         ph0 = phi(grid.x)
         sel = (grid.x > 0.3) & (grid.x < 2.5)
         for t in (0.1, 0.5, 1.0):
-            ht = heat_apply(params, t, phi, grid).values
+            ht = heat_apply(s3, t, phi, grid).values
             ratio = np.mean(ht[sel] / ph0[sel])
             assert abs(ratio / math.exp(-sigma1 * t) - 1.0) < 0.02
 
-    def test_positivity(self, params):
+    def test_positivity(self, s3):
         grid = RadialGrid.graded(300, 2.0, p=2.0)
         u0 = lambda y: np.exp(-((y - 0.5) / 0.1) ** 2)
-        assert np.all(heat_apply(params, 0.01, u0, grid).values > 0)
+        assert np.all(heat_apply(s3, 0.01, u0, grid).values > 0)
 
-    def test_outer_mass_warning(self, params):
+    def test_outer_mass_warning(self, s3):
         grid = RadialGrid.graded(200, 1.0, p=1.0)
         with pytest.warns(UserWarning, match="truncation"):
-            heat_apply(params, 0.01, np.ones(200), grid)
+            heat_apply(s3, 0.01, np.ones(200), grid)
 
 
 class TestTipClassification:
@@ -203,7 +197,7 @@ class TestMappingReport:
     # the full table lives in the acceptance suite; here one interior row
     # plus the input contract
     def test_interior_row(self, s3):
-        rep = mapping_exponent_report(HeatKernelParams(link=s3), 2.5)
+        rep = mapping_exponent_report(s3, 2.5)
         assert rep["spatial"]["kind"] == "power"
         assert abs(rep["spatial"]["slope"] - (-0.5)) <= 0.1
         assert rep["temporal_slope"] <= -1.25 + 0.15
@@ -211,9 +205,9 @@ class TestMappingReport:
 
     def test_exponent_range_enforced(self, s3):
         with pytest.raises(ValueError):
-            mapping_exponent_report(HeatKernelParams(link=s3), 4.0)
+            mapping_exponent_report(s3, 4.0)
         with pytest.raises(ValueError):
-            mapping_exponent_report(HeatKernelParams(link=s3), 0.0)
+            mapping_exponent_report(s3, 0.0)
 
 
 def test_heat_convolve_resolvent_identity(s3):
@@ -221,19 +215,14 @@ def test_heat_convolve_resolvent_identity(s3):
     mode-0 Dirichlet eigenfunction the time integral has the closed form
     (1 - e^{-sigma T})/sigma."""
     L = 5.0
-    params = HeatKernelParams(link=s3)
     j11 = brentq(lambda z: jv(1.0, z), 3.0, 4.5)
     sigma1 = (j11 / L) ** 2
     grid = RadialGrid.graded(400, L, p=1.0)
     phi = lambda y: jv(1.0, math.sqrt(sigma1) * y) / np.maximum(y, 1e-300)
     T = 0.5
-    conv = heat_convolve(params, T, phi, grid).values
+    conv = heat_convolve(s3, T, phi, grid).values
     expect = (1.0 - math.exp(-sigma1 * T)) / sigma1
     sel = (grid.x > 0.3) & (grid.x < 2.0)
     ratio = np.mean(conv[sel] / phi(grid.x)[sel])
     assert abs(ratio - expect) < 0.02 * expect
 
-
-def test_params_validation(s3):
-    with pytest.raises(ValueError):
-        HeatKernelParams(link=s3, series_tol=0.0)
