@@ -14,7 +14,6 @@ from .link import (
 )
 from .geometry import (
     ConelabError,
-    RadialField,
     RadialGrid,
     RadialMetric,
     flat_cone,
@@ -59,7 +58,7 @@ __all__ = [
     "__version__",
     "LinkData", "SpectrumTruncationError", "check_admissibility_gap",
     "check_tangential_stability", "get_link", "parse_link_file", "sphere_link",
-    "ConelabError", "RadialField", "RadialGrid", "RadialMetric", "flat_cone",
+    "ConelabError", "RadialGrid", "RadialMetric", "flat_cone",
     "perturbed_cone", "sphere_suspension", "total_volume", "volume_form",
     "warped_ricci", "warped_scal",
     "EigensolverError", "RadialOperator", "fit_asymptotics",

@@ -101,7 +101,6 @@ CONFIG_SCHEMA = {
         "exponent": (float, 3.0),
     },
     "convergence": {
-        "op": (str, "lambda"),
         "base_N": (int, 250),
         "refinements": (int, 3),
     },
@@ -496,8 +495,6 @@ def cmd_mapping(cfg: dict) -> tuple[int, dict]:
 
 def cmd_convergence(cfg: dict) -> tuple[int, dict]:
     c = cfg["convergence"]
-    if c["op"] != "lambda":
-        raise ConfigError(f"unsupported convergence op {c['op']!r}")
     if c["refinements"] < 2:
         raise ConfigError("convergence needs at least 2 refinements")
     Ns = [c["base_N"] * 2**k for k in range(c["refinements"] + 1)]
@@ -548,23 +545,32 @@ _RUNNERS = {
     "convergence": cmd_convergence,
 }
 
-# convenience flags shared by all subcommands, mapped onto config keys
-_FLAG_MAP = {
-    "seed": ("run", "seed"),
-    "output_dir": ("run", "output_dir"),
-    "preset": ("metric", "preset"),
-    "link": ("metric", "link"),
-    "N": ("grid", "N"),
-    "p": ("grid", "p"),
-    "L": ("grid", "L"),
-    "tau": ("mu", "tau"),
-    "variant": ("mu", "variant"),
-    "refinements": ("convergence", "refinements"),
+# shorthand flags for --set: flag -> section.key, shared by all subcommands
+_FLAGS = {
+    "--seed": "run.seed",
+    "--output-dir": "run.output_dir",
+    "--preset": "metric.preset",
+    "--link": "metric.link",
+    "--N": "grid.N",
+    "--p": "grid.p",
+    "--L": "grid.L",
+}
+_SUBCOMMAND_FLAGS = {
+    "mu": {"--tau": "mu.tau", "--variant": "mu.variant"},
+    "nu": {"--variant": "nu.variant"},
+    "convergence": {"--refinements": "convergence.refinements"},
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are operational errors: exit 1 with one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="conelab",
         description="entropy functionals and singular Ricci-de Turck flow "
                     "on radial conical metrics")
@@ -576,36 +582,18 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--set", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override a single config value")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--output-dir", dest="output_dir")
-        sp.add_argument("--svg", action="store_true")
-        sp.add_argument("--preset")
-        sp.add_argument("--link")
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--L", type=float)
-        if name == "mu":
-            sp.add_argument("--tau", type=float)
-            sp.add_argument("--variant")
-        if name == "nu":
-            sp.add_argument("--variant")
-        if name == "convergence":
-            sp.add_argument("--op")
-            sp.add_argument("--refinements", type=int)
-    args = parser.parse_args(argv)
+        sp.add_argument("--svg", dest="run.svg", action="store_const",
+                        const="true", help="shorthand for --set run.svg=true")
+        flags = {**_FLAGS, **_SUBCOMMAND_FLAGS.get(name, {})}
+        for flag, dest in flags.items():
+            sp.add_argument(flag, dest=dest, metavar="VALUE",
+                            help=f"shorthand for --set {dest}=VALUE")
 
     try:
-        cfg = parse_config(getattr(args, "config", None), args.set)
-        for flag, (section, key) in _FLAG_MAP.items():
-            val = getattr(args, flag, None)
-            if val is not None:
-                cfg[section][key] = CONFIG_SCHEMA[section][key][0](val)
-        if getattr(args, "svg", False):
-            cfg["run"]["svg"] = True
-        if getattr(args, "variant", None) is not None:
-            cfg["nu"]["variant"] = args.variant
-        if getattr(args, "op", None) is not None:
-            cfg["convergence"]["op"] = args.op
+        args = parser.parse_args(argv)
+        flags = [f"{dest}={val}" for dest, val in vars(args).items()
+                 if "." in dest and val is not None]
+        cfg = parse_config(args.config, args.set + flags)
         cfg["run"]["subcommand"] = args.subcommand
         code, report = _RUNNERS[args.subcommand](cfg)
     except (geometry.ConelabError, OSError, ValueError) as exc:

@@ -36,9 +36,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import geometry
-from .geometry import (ConelabError, RadialMetric, RadialField, volume_form,
-                       _as_values)
-from .spectral import lambda_problem
+from .geometry import ConelabError, RadialMetric, volume_form
+from .spectral import LambdaProblem, lambda_problem
 
 
 class NewtonError(ConelabError):
@@ -49,23 +48,10 @@ def _s_m(m: int, tau: float) -> float:
     return (4.0 * math.pi * tau) ** (-m / 2.0)
 
 
-@dataclass
-class LambdaReport:
-    value: float
-    omega: RadialField
-    el_residual: float
-    constraint_residual: float
-
-
-def compute_lambda(metric: RadialMetric) -> LambdaReport:
-    """Ground state of 4*Lap + scal with unit L2 constraint."""
-    lp = lambda_problem(metric)
-    u, w = lp.omega.values, lp.prob.mass
-    r = lp.prob.matvec(u) - lp.value * w * u
-    el_res = float(np.linalg.norm(r) / np.linalg.norm(w * u))
-    cons = abs(float(u @ (w * u)) - 1.0)
-    return LambdaReport(value=lp.value, omega=lp.omega, el_residual=el_res,
-                        constraint_residual=cons)
+def compute_lambda(metric: RadialMetric) -> LambdaProblem:
+    """Ground state of 4*Lap + scal with unit L2 constraint, and its
+    residuals: the metric's memoized lambda problem."""
+    return lambda_problem(metric)
 
 
 # -- the W entropies -------------------------------------------------------------
@@ -88,7 +74,7 @@ def evaluate_w(metric: RadialMetric, omega, tau: float, variant: str = "minus",
         raise ValueError("tau must be positive")
     prob = lambda_problem(metric).prob
     w = prob.mass
-    u = _as_values(omega)
+    u = np.asarray(omega, dtype=float)
     if np.any(u <= 0):
         raise ValueError("omega must be strictly positive")
     sm = _s_m(metric.m, tau)
@@ -98,9 +84,8 @@ def evaluate_w(metric: RadialMetric, omega, tau: float, variant: str = "minus",
 
 
 def constraint_residual(metric: RadialMetric, omega, tau: float) -> float:
-    u = _as_values(omega)
     w = volume_form(metric)
-    return abs(_s_m(metric.m, tau) * float(u @ (w * u)) - 1.0)
+    return abs(_s_m(metric.m, tau) * float(omega @ (w * omega)) - 1.0)
 
 
 @dataclass
@@ -108,7 +93,7 @@ class MuReport:
     value: float
     tau: float
     variant: str
-    omega: RadialField
+    omega: np.ndarray
     multiplier: float
     el_residual: float
     constraint_residual: float
@@ -204,12 +189,12 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
     def normalized(u):
         return u / math.sqrt(sm * float(u @ (w * u)))
 
-    inits = [] if omega0 is None else [normalized(_as_values(omega0))]
+    inits = [] if omega0 is None else [normalized(omega0)]
     for s in starts:
         if s == "constant":
             inits.append(np.full(len(w), 1.0 / math.sqrt(sm * float(np.sum(w)))))
         elif s == "ground":
-            og = lp.omega.values
+            og = lp.omega
             inits.append(normalized(np.maximum(og, 1e-12 * og.max())))
         else:
             raise ValueError(f"unknown start {s!r}")
@@ -234,7 +219,7 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
     f = -2.0 * np.log(u)
     ident = sm * float(np.sum(w * f * u * u))
     return MuReport(value=float(mu), tau=tau, variant=variant,
-                    omega=RadialField(u), multiplier=float(mu),
+                    omega=u, multiplier=float(mu),
                     el_residual=el_res, constraint_residual=abs(g2),
                     normalization_identity=ident,
                     basin_values=basin, nonconvex=nonconvex)
@@ -282,7 +267,7 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
             rep = compute_mu(metric, math.exp(log_tau), variant=variant,
                              omega0=warm["omega"])
             cache[log_tau] = rep
-            warm["omega"] = rep.omega.values
+            warm["omega"] = rep.omega
         return sign * cache[log_tau].value
 
     lts = np.linspace(math.log(tau_range[0]), math.log(tau_range[1]), _N_SCAN)
@@ -319,7 +304,7 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
 
 # -- first variation of lambda ---------------------------------------------------
 
-def first_variation_lambda(metric: RadialMetric, report: LambdaReport,
+def first_variation_lambda(metric: RadialMetric, report: LambdaProblem,
                            h_rad, h_link) -> float:
     """Directional derivative of lambda along h = h_rad dx^2 + h_link b^2 g_F.
 
@@ -327,16 +312,14 @@ def first_variation_lambda(metric: RadialMetric, report: LambdaReport,
     at the normalized minimizer; the pairing in the orthonormal frame is
     (h_rad / a^2)(Ric + Hess f)_rad + n h_link (Ric + Hess f)_link.
     """
-    u = report.omega.values
+    u = report.omega
     if np.any(u <= 0):
         raise ValueError("minimizer must be strictly positive")
     f = -2.0 * np.log(u)
     ric_rad, ric_link = geometry.warped_ricci(metric)
     hess_rad, hess_link = geometry.radial_hessian(f, metric)
     w = volume_form(metric)
-    hr = _as_values(h_rad)
-    hl = _as_values(h_link)
     n = metric.link.n
-    integrand = (hr / metric.a**2 * (ric_rad.values + hess_rad.values)
-                 + n * hl * (ric_link.values + hess_link.values))
+    integrand = (h_rad / metric.a**2 * (ric_rad + hess_rad)
+                 + n * h_link * (ric_link + hess_link))
     return float(-np.sum(w * integrand * u * u))

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import entropy, link as linkmod, spectral
-from .geometry import ConelabError, RadialMetric, RadialField, warped_ricci
+from .geometry import ConelabError, RadialMetric, warped_ricci
 
 
 class FlowError(ConelabError):
@@ -80,7 +80,7 @@ class FlowState:
 
 
 def deturck_vector_field(metric: RadialMetric,
-                         reference: RadialMetric) -> RadialField:
+                         reference: RadialMetric) -> np.ndarray:
     """Radial component w of the de Turck field of (metric, reference)."""
     if metric.grid is not reference.grid and not np.array_equal(
             metric.grid.x, reference.grid.x):
@@ -97,7 +97,7 @@ def deturck_vector_field(metric: RadialMetric,
                                               - db / (a**2 * b))
     # b = 0 exactly at a pole node; w there is never used (the node sits
     # inside a slaved band) but must not poison the array
-    return RadialField(np.where(np.isfinite(w), w, 0.0))
+    return np.where(np.isfinite(w), w, 0.0)
 
 
 def flow_rhs(metric: RadialMetric,
@@ -105,10 +105,10 @@ def flow_rhs(metric: RadialMetric,
     """Component rates (da/dt, db/dt) of the normalized de Turck flow."""
     ref = config.reference if config.reference is not None else metric
     kappa = _KAPPA[config.normalization]
-    w = deturck_vector_field(metric, ref).values
+    w = deturck_vector_field(metric, ref)
     ric_rad, ric_link = warped_ricci(metric)
-    da = metric.a * (kappa - ric_rad.values) + metric.grid.d1(metric.a * w)
-    db = metric.b * (kappa - ric_link.values) + metric.jet[1] * w
+    da = metric.a * (kappa - ric_rad) + metric.grid.d1(metric.a * w)
+    db = metric.b * (kappa - ric_link) + metric.jet[1] * w
     if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
         raise FlowError("non-finite flow right-hand side")
     return da, db
@@ -221,7 +221,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
 
     def diagnostics(t, met):
         kappa = _KAPPA[cfg.normalization]
-        ric = np.stack([r.values[live] for r in warped_ricci(met)])
+        ric = np.stack([r[live] for r in warped_ricci(met)])
         ev = None
         if cfg.entropy_kind == "lambda":
             ev = entropy.compute_lambda(met).value

@@ -76,8 +76,9 @@ class RadialGrid:
     def __post_init__(self):
         x = _read_only(np.array(self.x, dtype=float))
         object.__setattr__(self, "x", x)
-        if x[0] <= 0 or np.any(np.diff(x) <= 0):
-            raise ValueError("grid nodes must be strictly increasing and positive")
+        if not (np.all(np.isfinite(x)) and x[0] > 0 and np.all(np.diff(x) > 0)):
+            raise ValueError("grid nodes must be finite, strictly increasing "
+                             "and positive")
 
     @classmethod
     def graded(cls, N: int, L: float, p: float = 2.0) -> "RadialGrid":
@@ -125,25 +126,6 @@ class RadialGrid:
         return c
 
 
-@dataclass
-class RadialField:
-    """Scalar field sampled on a radial grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-    def __len__(self):
-        return len(self.values)
-
-
-def _as_values(u) -> np.ndarray:
-    return u.values if isinstance(u, RadialField) else np.asarray(u, dtype=float)
-
-
 @dataclass(frozen=True)
 class RadialMetric:
     """g = a(x)^2 dx^2 + b(x)^2 g_F on a radial grid over an Einstein link.
@@ -168,6 +150,8 @@ class RadialMetric:
         object.__setattr__(self, "b", b)
         if len(a) != self.grid.N or len(b) != self.grid.N:
             raise ValueError("coefficient fields must match the grid")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("a and b must be finite")
         if np.any(a <= 0):
             raise ValueError("a must be positive")
         if np.any(b < 0) or np.any(b[:-1] <= 0):
@@ -233,12 +217,12 @@ def _extrapolate_into(x, vals, bad):
     return vals
 
 
-def warped_ricci(metric: RadialMetric) -> tuple[RadialField, RadialField]:
+def warped_ricci(metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal-frame Ricci components (radial-radial, link-diagonal)."""
     return metric.derived(_ricci_pair)
 
 
-def _ricci_pair(metric: RadialMetric) -> tuple[RadialField, RadialField]:
+def _ricci_pair(metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     n = metric.link.n
     a, b = metric.a, metric.b
     da, db, _, d2b = metric.jet
@@ -256,14 +240,13 @@ def _ricci_pair(metric: RadialMetric) -> tuple[RadialField, RadialField]:
         x = metric.grid.x
         ric_rad = _extrapolate_into(x, ric_rad, bad)
         ric_link = _extrapolate_into(x, ric_link, bad)
-    return (RadialField(_read_only(ric_rad)),
-            RadialField(_read_only(ric_link)))
+    return _read_only(ric_rad), _read_only(ric_link)
 
 
-def warped_scal(metric: RadialMetric) -> RadialField:
+def warped_scal(metric: RadialMetric) -> np.ndarray:
     """Scalar curvature scal = Ric_rad + n * Ric_link (exact trace identity)."""
     ric_rad, ric_link = warped_ricci(metric)
-    return RadialField(ric_rad.values + metric.link.n * ric_link.values)
+    return ric_rad + metric.link.n * ric_link
 
 
 # -- measures and norms --------------------------------------------------------
@@ -289,51 +272,48 @@ def total_volume(metric: RadialMetric) -> float:
 
 def weighted_sup_norm(u, grid: RadialGrid, gamma: float) -> float:
     """sup over the grid of x^{-gamma} |u|."""
-    vals = _as_values(u)
-    return float(np.max(np.abs(vals) * grid.x ** (-gamma)))
+    return float(np.max(np.abs(u) * grid.x ** (-gamma)))
 
 
-def radial_hessian(f, metric: RadialMetric) -> tuple[RadialField, RadialField]:
+def radial_hessian(f, metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal Hessian components of a radial function.
 
     hess_rad = D(Df), hess_link = (Db/b) Df; the trace is the (geometer's
     negative) Laplacian of f.
     """
-    vals = _as_values(f)
     a, b, g = metric.a, metric.b, metric.grid
     da, db, _, _ = metric.jet
-    df = g.d1(vals)
+    df = g.d1(f)
     Df = df / a
-    hess_rad = (g.d2(vals) - df * da / a) / a**2
+    hess_rad = (g.d2(f) - df * da / a) / a**2
     bad = _pole_mask(metric)
     safe_b = np.where(bad, 1.0, b)
     Db = db / a
     hess_link = (Db / safe_b) * Df
     if bad.any():
         hess_link = _extrapolate_into(g.x, hess_link, bad)
-    return RadialField(hess_rad), RadialField(hess_link)
+    return hess_rad, hess_link
 
 
-def laplacian(f, metric: RadialMetric) -> RadialField:
+def laplacian(f, metric: RadialMetric) -> np.ndarray:
     """div grad f for radial f (negative-spectrum sign convention)."""
     hr, hl = radial_hessian(f, metric)
-    return RadialField(hr.values + metric.link.n * hl.values)
+    return hr + metric.link.n * hl
 
 
 def weighted_sobolev_norm(u, metric: RadialMetric, s: int, delta: float) -> float:
     """Discrete weighted Sobolev norm: sum_{k<=s} ||x^{k-delta} grad^k u||_L2."""
     if s not in (0, 1, 2):
         raise ValueError("only s in {0, 1, 2} supported")
-    vals = _as_values(u)
     w = volume_form(metric)
     x = metric.grid.x
-    total = np.sqrt(np.sum(w * (x ** (-delta) * vals) ** 2))
+    total = np.sqrt(np.sum(w * (x ** (-delta) * u) ** 2))
     if s >= 1:
-        Du = metric.grid.d1(vals) / metric.a
+        Du = metric.grid.d1(u) / metric.a
         total += np.sqrt(np.sum(w * (x ** (1 - delta) * Du) ** 2))
     if s >= 2:
-        hr, hl = radial_hessian(vals, metric)
-        h2 = hr.values**2 + metric.link.n * hl.values**2
+        hr, hl = radial_hessian(u, metric)
+        h2 = hr**2 + metric.link.n * hl**2
         total += np.sqrt(np.sum(w * x ** (2 * (2 - delta)) * h2))
     return float(total)
 
@@ -402,8 +382,6 @@ def metric_from_csv(link, path: str, gamma: float = 1.0,
 
 def perturb_metric(metric: RadialMetric, h_rad, h_link, eps: float) -> RadialMetric:
     """g + eps h for a radial 2-tensor h = h_rad dx^2 + h_link b^2 g_F."""
-    h_rad = _as_values(h_rad)
-    h_link = _as_values(h_link)
     a_new = np.sqrt(metric.a**2 + eps * h_rad)
     b_new = metric.b * np.sqrt(1.0 + eps * h_link)
     return replace(metric, a=a_new, b=b_new)
@@ -411,7 +389,6 @@ def perturb_metric(metric: RadialMetric, h_rad, h_link, eps: float) -> RadialMet
 
 def lie_derivative_tensor(metric: RadialMetric, xi) -> tuple[np.ndarray, np.ndarray]:
     """(h_rad, h_link) of the Lie derivative of g along X = xi(x) d/dx."""
-    xi = _as_values(xi)
     a, b = metric.a, metric.b
     h_rad = 2.0 * a * metric.grid.d1(a * xi)
     h_link = 2.0 * (metric.jet[1] / np.where(b > 0, b, 1.0)) * xi

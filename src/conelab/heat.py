@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import RadialGrid, RadialField, smooth_cutoff, _as_values
+from .geometry import RadialGrid, smooth_cutoff
 from .spectral import fit_power_model
 
 _SERIES_MAX_Z = 30.0
@@ -192,7 +192,7 @@ def cell_gauss_rule(grid: RadialGrid, npts: int = 4):
 
 
 def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
-               mode: float = 0.0, quad_pts: int = 4) -> RadialField:
+               mode: float = 0.0, quad_pts: int = 4) -> np.ndarray:
     """Apply the mode heat semigroup: integral of h_nu(t,x,y) u(y) y^n dy.
 
     u may be grid values (interpolated to the quadrature nodes by a cubic
@@ -207,7 +207,7 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
         uq = u(xq)
     else:
         from scipy.interpolate import CubicSpline
-        vals = _as_values(u)
+        vals = np.asarray(u, dtype=float)
         uq = CubicSpline(grid.x, vals, extrapolate=True)(xq)
     # warn if u carries mass the truncated quadrature domain cannot absorb
     edge = np.abs(vals[-1]) * grid.L**n
@@ -222,12 +222,11 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
     xa = np.broadcast_to(X, act.shape)[act]
     ya = np.broadcast_to(Y, act.shape)[act]
     kern[act] = cone_kernel_mode(n, nu, t, xa, ya)
-    out = kern @ (uq * xq**n * wq)
-    return RadialField(out)
+    return kern @ (uq * xq**n * wq)
 
 
 def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
-                  mode: float = 0.0, quad_pts: int = 4) -> RadialField:
+                  mode: float = 0.0, quad_pts: int = 4) -> np.ndarray:
     """Time convolution integral of the heat semigroup against a fixed source.
 
     Composite Gauss quadrature on geometrically graded panels in the
@@ -235,8 +234,6 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
     remaining sliver [0, sigma_min] contributes sigma_min * f since
     H(sigma) -> Id.
     """
-    fv = f(grid.x) if callable(f) else _as_values(f)
-    src = f if callable(f) else fv
     gn, gw = np.polynomial.legendre.leggauss(quad_pts)
     result = np.zeros(grid.N)
     edges = t * 10.0 ** (-np.linspace(0.0, 8.0, 17))
@@ -245,9 +242,9 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
         for gnode, gweight in zip(gn, gw):
             sigma = mid + half * gnode
             result += half * gweight * heat_apply(
-                link, sigma, src, grid, mode=mode, quad_pts=quad_pts).values
-    result += edges[-1] * fv
-    return RadialField(result)
+                link, sigma, f, grid, mode=mode, quad_pts=quad_pts)
+    result += edges[-1] * (f(grid.x) if callable(f) else f)
+    return result
 
 
 def kernel_mass(n: int, t: float, x: float) -> float:
@@ -339,12 +336,12 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     def f(y):
         return y ** (-N_exp) * smooth_cutoff(y, 0.25, 0.5)
 
-    conv = heat_convolve(link, 1.0, f, grid, mode=0.0, quad_pts=2).values
+    conv = heat_convolve(link, 1.0, f, grid, mode=0.0, quad_pts=2)
     sel = (x >= 0.012) & (x <= 0.1)
     cls = classify_tip_behavior(x[sel], conv[sel])
 
     sups = np.array([np.max(np.abs(
-        heat_apply(link, t, f, grid, quad_pts=2).values))
+        heat_apply(link, t, f, grid, quad_pts=2)))
         for t in t_grid])
     tslope = float(np.polyfit(np.log(t_grid), np.log(sups), 1)[0])
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .geometry import (ConelabError, RadialGrid, RadialMetric, RadialField,
-                       volume_form, _as_values)
+from .geometry import ConelabError, RadialGrid, RadialMetric, volume_form
 from . import geometry
 
 
@@ -140,7 +139,7 @@ def assemble_operator(op: RadialOperator,
         safe_b = np.maximum(metric.b, 1e-8 * metric.b.max())
         pot += op.c * op.mode / safe_b**2
     if op.q != 0.0:
-        pot += op.q * geometry.warped_scal(metric).values
+        pot += op.q * geometry.warped_scal(metric)
     diag = diag + pot * w
     if dirichlet_outer:
         diag = diag[:-1].copy()
@@ -151,12 +150,12 @@ def assemble_operator(op: RadialOperator,
 
 
 def rayleigh_quotient(prob: AssembledProblem, u) -> float:
-    u = _as_values(u)
+    u = np.asarray(u, dtype=float)
     return float(u @ prob.matvec(u)) / float(u @ (prob.mass * u))
 
 
 def solve_ground_state(op: RadialOperator, dirichlet_outer: bool = False,
-                       ) -> tuple[float, RadialField]:
+                       ) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of (K, M) by shifted inverse iteration.
 
     Returns (sigma, u) with u M-normalized, sign-fixed positive and the
@@ -224,16 +223,19 @@ def _inverse_iteration(prob: AssembledProblem):
     u = np.abs(u) if u.min() < 0 else u
     if prob.dirichlet_outer:
         u = np.concatenate([u, [0.0]])
-    return float(sigma), RadialField(u)
+    return float(sigma), u
 
 
 @dataclass(frozen=True)
 class LambdaProblem:
-    """The pencil of 4 Lap + scal on one metric and its ground state."""
+    """The pencil of 4 Lap + scal on one metric, its ground state omega
+    with unit L2 norm, and that state's EL and constraint residuals."""
 
     prob: AssembledProblem
     value: float
-    omega: RadialField
+    omega: np.ndarray
+    el_residual: float
+    constraint_residual: float
 
 
 def lambda_problem(metric: RadialMetric) -> LambdaProblem:
@@ -244,15 +246,19 @@ def lambda_problem(metric: RadialMetric) -> LambdaProblem:
 def _lambda_problem(metric: RadialMetric) -> LambdaProblem:
     prob = assemble_operator(RadialOperator(metric, q=1.0, c=4.0))
     value, omega = _inverse_iteration(prob)
-    for shared in (prob.diag, prob.off, prob.mass, omega.values):
+    for shared in (prob.diag, prob.off, prob.mass, omega):
         shared.setflags(write=False)
-    return LambdaProblem(prob, value, omega)
+    w = prob.mass
+    r = prob.matvec(omega) - value * w * omega
+    el_res = float(np.linalg.norm(r) / np.linalg.norm(w * omega))
+    cons = abs(float(omega @ (w * omega)) - 1.0)
+    return LambdaProblem(prob, value, omega, el_res, cons)
 
 
 def eigen_residual(op: RadialOperator, sigma: float, u,
                    dirichlet_outer: bool = False) -> float:
     prob = assemble_operator(op, dirichlet_outer=dirichlet_outer)
-    vals = _as_values(u)
+    vals = np.asarray(u, dtype=float)
     if dirichlet_outer:
         vals = vals[:-1]
     r = prob.matvec(vals) - sigma * prob.mass * vals
@@ -289,7 +295,7 @@ def fit_asymptotics(u, grid: RadialGrid,
     Returns (c0, e, rms residual) of `fit_power_model`; a field that is
     constant to machine precision returns the +inf exponent sentinel.
     """
-    vals = _as_values(u)
+    vals = np.asarray(u, dtype=float)
     x = grid.x
     if window is None:
         # on strongly graded grids 4*x_1 can sit far below the level where

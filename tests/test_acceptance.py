@@ -174,8 +174,8 @@ def test_08_semigroup_and_first_variation(s3, s4_fine, s4_lambda):
     grid = RadialGrid.graded(400, 3.0, p=2.0)
     u0 = lambda y: np.exp(-((y - 0.8) / 0.15) ** 2)
     a1 = heat.heat_apply(s3, 0.004, u0, grid)
-    a12 = heat.heat_apply(s3, 0.006, a1.values, grid).values
-    direct = heat.heat_apply(s3, 0.010, u0, grid).values
+    a12 = heat.heat_apply(s3, 0.006, a1, grid)
+    direct = heat.heat_apply(s3, 0.010, u0, grid)
     semi = np.max(np.abs(a12 - direct)) / np.max(np.abs(direct))
 
     g = RadialGrid.graded(1200, 1.0, p=2.0)

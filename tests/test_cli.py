@@ -162,6 +162,27 @@ class TestExitCodes:
             assert "unknown variant 'foo'" in err[0]
         assert not (tmp_path / "x" / "report.json").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["heat-check", "--N", "5"],
+        ["lambda", "--N", "abc"],
+        ["lambda", "--bogus"],
+    ])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, args):
+        # flags are --set shorthands: validated like the config, and a
+        # usage error is operational (exit 2 means a property failure)
+        assert main([*args, "--output-dir", "u"]) == EXIT_OPERATIONAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("conelab: error: ")
+        assert not (tmp_path / "u").exists()
+
+    def test_flag_sets_only_its_own_key(self, tmp_path):
+        args = ["mu", "--preset", "sphere_suspension", "--N", "200",
+                "--variant", "plus", "--output-dir", "v"]
+        assert main(args) == EXIT_OK
+        cfg = parse_config(str(tmp_path / "v" / "effective.ini"))
+        assert cfg["mu"]["variant"] == "plus"
+        assert cfg["nu"]["variant"] == "minus"
+
     def test_property_failure_still_writes_report(self, tmp_path, capsys):
         args = ["lambda", "--N", "400", "--output-dir", "p",
                 "--set", "tolerances.el_residual=1e-30"]
@@ -196,10 +217,6 @@ class TestConvergence:
         rep = _report(tmp_path, "e")
         assert rep["exact_at_all_resolutions"] is True
         assert rep["fitted_order"] is None
-
-    def test_unsupported_op_is_operational(self, capsys):
-        assert main(["convergence", "--op", "mu"]) == EXIT_OPERATIONAL
-        assert "mu" in capsys.readouterr().err
 
 
 def test_tip_fit_runs_only_in_the_report_layer(s3, monkeypatch):

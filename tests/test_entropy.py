@@ -64,10 +64,18 @@ class TestLambda:
 
     def test_bracketed_by_scalar_curvature(self, perturbed_metric):
         lam = compute_lambda(perturbed_metric).value
-        scal = geometry.warped_scal(perturbed_metric).values
+        scal = geometry.warped_scal(perturbed_metric)
         w = volume_form(perturbed_metric)
         avg = float(np.sum(w * scal) / np.sum(w))
         assert np.min(scal) - 1e-10 <= lam <= avg + 1e-10
+
+    def test_weights_are_plain_arrays(self, s3):
+        # compute_lambda hands out the memoized lambda problem itself
+        met = geometry.sphere_suspension(s3, 200, radius=1.0, p=2.0)
+        lam = compute_lambda(met)
+        assert lam is spectral.lambda_problem(met)
+        assert type(lam.omega) is np.ndarray
+        assert type(compute_mu(met, 0.5).omega) is np.ndarray
 
     def test_functional_matches_report(self, s4_fine, s4_lambda):
         prob = spectral.lambda_problem(s4_fine).prob
@@ -283,9 +291,8 @@ class TestFirstVariation:
             assert 1.6 < slope < 2.4
 
     def test_requires_positive_minimizer(self, s4_fine, s4_lambda):
-        bad_omega = s4_lambda.omega.values.copy()
+        bad_omega = s4_lambda.omega.copy()
         bad_omega[0] = 0.0
-        bad = dataclasses.replace(s4_lambda,
-                                  omega=geometry.RadialField(bad_omega))
+        bad = dataclasses.replace(s4_lambda, omega=bad_omega)
         with pytest.raises(ValueError):
             first_variation_lambda(s4_fine, bad, bad_omega, bad_omega)

@@ -38,6 +38,8 @@ def test_graded_grid_construction():
         RadialGrid(x=np.array([0.0, 1.0]), L=1.0)
     with pytest.raises(ValueError):
         RadialGrid(x=np.array([0.5, 0.4]), L=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        RadialGrid(x=np.array([0.5, np.nan, 0.7]), L=1.0)
 
 
 def test_metric_validation(s3):
@@ -50,6 +52,28 @@ def test_metric_validation(s3):
         RadialMetric(link=s3, grid=g, a=np.ones(49), b=g.x[:-1])
     with pytest.raises(ValueError):
         RadialMetric(link=s3, grid=g, a=np.ones(50), b=g.x, gamma=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        RadialMetric(link=s3, grid=g, a=np.where(g.x > 0.5, np.nan, 1.0),
+                     b=g.x)
+    with pytest.raises(ValueError, match="finite"):
+        RadialMetric(link=s3, grid=g, a=np.ones(50),
+                     b=np.where(g.x > 0.5, np.inf, g.x))
+
+
+def test_metric_from_csv_rejects_nan_at_construction(tmp_path, s3):
+    path = tmp_path / "metric.csv"
+    rows = ["x,a,b"] + [f"{x:.17g},{'nan' if i == 10 else 1.0},{x:.17g}"
+                        for i, x in enumerate(np.linspace(0.02, 1.0, 50))]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="a and b must be finite"):
+        metric_from_csv(s3, str(path))
+
+
+def test_curvature_and_hessian_are_plain_arrays(s3):
+    met = sphere_suspension(s3, 100)
+    fields = [*warped_ricci(met), warped_scal(met),
+              *radial_hessian(met.grid.x**2, met)]
+    assert all(type(f) is np.ndarray and f.shape == (100,) for f in fields)
 
 
 def test_metric_and_grid_are_read_only(s3):
@@ -64,14 +88,14 @@ def test_metric_and_grid_are_read_only(s3):
     with pytest.raises(ValueError):
         g.x[0] = 0.01
     with pytest.raises(ValueError):
-        warped_ricci(met)[0].values[0] = 0.0
+        warped_ricci(met)[0][0] = 0.0
     # the metric keeps copies: the caller's arrays stay writable and
     # writing to them leaves the metric and its derived data unchanged
-    ric = warped_ricci(met)[1].values.copy()
+    ric = warped_ricci(met)[1].copy()
     a[0] = 2.0
     x[0] = 0.01
     assert met.a[0] == 1.0 and g.x[0] == 0.02
-    assert np.array_equal(warped_ricci(met)[1].values, ric)
+    assert np.array_equal(warped_ricci(met)[1], ric)
 
 
 class TestCurvature:
@@ -80,9 +104,9 @@ class TestCurvature:
         rr, rl = warped_ricci(met)
         sc = warped_scal(met)
         inner = slice(10, -10)
-        assert np.max(np.abs(rr.values[inner] - 3.0)) < 1e-6
-        assert np.max(np.abs(rl.values[inner] - 3.0)) < 1e-6
-        assert np.max(np.abs(sc.values[inner] - 12.0)) < 1e-5
+        assert np.max(np.abs(rr[inner] - 3.0)) < 1e-6
+        assert np.max(np.abs(rl[inner] - 3.0)) < 1e-6
+        assert np.max(np.abs(sc[inner] - 12.0)) < 1e-5
 
     def test_flat_cone_curvature_vanishes_to_roundoff(self, s3):
         # 1/h^2 roundoff amplification sets the floor; at this resolution
@@ -92,15 +116,15 @@ class TestCurvature:
         rr, rl = warped_ricci(met)
         sc = warped_scal(met)
         inner = slice(4, -4)
-        assert np.max(np.abs(rr.values[inner])) < 1e-10
-        assert np.max(np.abs(rl.values[inner])) < 1e-10
-        assert np.max(np.abs(sc.values[inner])) < 1e-10
+        assert np.max(np.abs(rr[inner])) < 1e-10
+        assert np.max(np.abs(rl[inner])) < 1e-10
+        assert np.max(np.abs(sc[inner])) < 1e-10
 
     def test_flat_cone_any_einstein_link(self):
         s2 = linkmod.sphere_link(2, 4)
         g = RadialGrid.graded(64, 1.0, p=1.0)
         sc = warped_scal(flat_cone(s2, g))
-        assert np.max(np.abs(sc.values[4:-4])) < 1e-9
+        assert np.max(np.abs(sc[4:-4])) < 1e-9
 
     def test_symbolic_oracle_general_coefficients(self, s3):
         """Independent sympy evaluation of the warped curvature formulas."""
@@ -122,8 +146,8 @@ class TestCurvature:
         rr, rl = warped_ricci(met)
         sc = warped_scal(met)
         sel = slice(20, -20)
-        for mine, oracle in ((rr.values, fr(grid.x)), (rl.values, fl(grid.x)),
-                             (sc.values, fs(grid.x))):
+        for mine, oracle in ((rr, fr(grid.x)), (rl, fl(grid.x)),
+                             (sc, fs(grid.x))):
             rel = np.abs(mine[sel] - oracle[sel]) / np.maximum(
                 np.abs(oracle[sel]), 1.0)
             assert np.max(rel) < 1e-6
@@ -135,19 +159,19 @@ class TestCurvature:
                            b=grid.x * (1.0 + 0.2 * np.cos(3 * grid.x) ** 2))
         rr, rl = warped_ricci(met)
         sc = warped_scal(met)
-        scale = np.max(np.abs(sc.values))
-        assert np.max(np.abs(sc.values - (rr.values + 3 * rl.values))) \
+        scale = np.max(np.abs(sc))
+        assert np.max(np.abs(sc - (rr + 3 * rl))) \
             <= 1e-8 * scale
 
     def test_scaling_covariance(self, s3):
         met = sphere_suspension(s3, 400, radius=1.0, p=2.0)
-        sc = warped_scal(met).values
-        sc4 = warped_scal(met.scaled(4.0)).values
+        sc = warped_scal(met)
+        sc4 = warped_scal(met.scaled(4.0))
         assert np.max(np.abs(4.0 * sc4 - sc)) < 1e-10
         rr, rl = warped_ricci(met)
         rr4, rl4 = warped_ricci(met.scaled(4.0))
-        assert np.max(np.abs(4.0 * rr4.values - rr.values)) < 1e-10
-        assert np.max(np.abs(4.0 * rl4.values - rl.values)) < 1e-10
+        assert np.max(np.abs(4.0 * rr4 - rr)) < 1e-10
+        assert np.max(np.abs(4.0 * rl4 - rl)) < 1e-10
 
 
 class TestVolume:
@@ -225,14 +249,14 @@ class TestHessian:
     def test_constant_function(self, s3):
         g = RadialGrid.graded(200, 1.0, p=1.0)
         hr, hl = radial_hessian(np.ones(200), flat_cone(s3, g))
-        assert np.max(np.abs(hr.values)) < 1e-9
-        assert np.max(np.abs(hl.values)) < 1e-9
+        assert np.max(np.abs(hr)) < 1e-9
+        assert np.max(np.abs(hl)) < 1e-9
 
     def test_euclidean_identity_hessian(self, s3):
         g = RadialGrid.graded(500, 1.0, p=2.0)
         hr, hl = radial_hessian(g.x**2 / 2.0, flat_cone(s3, g))
-        assert np.max(np.abs(hr.values - 1.0)) < 1e-8
-        assert np.max(np.abs(hl.values - 1.0)) < 1e-8
+        assert np.max(np.abs(hr - 1.0)) < 1e-8
+        assert np.max(np.abs(hl - 1.0)) < 1e-8
 
     def test_trace_is_laplacian(self, s3):
         g = RadialGrid.graded(300, 1.0, p=2.0)
@@ -240,8 +264,8 @@ class TestHessian:
         f = np.cos(2 * g.x) + g.x
         hr, hl = radial_hessian(f, met)
         lap = laplacian(f, met)
-        assert np.max(np.abs(lap.values - (hr.values + 3 * hl.values))) \
-            < 1e-12 * max(1.0, np.max(np.abs(lap.values)))
+        assert np.max(np.abs(lap - (hr + 3 * hl))) \
+            < 1e-12 * max(1.0, np.max(np.abs(lap)))
 
 
 def test_smooth_cutoff_shape():

@@ -138,18 +138,23 @@ class TestConeKernel:
 
 
 class TestHeatApply:
+    def test_returns_plain_array(self, s3):
+        grid = RadialGrid.graded(100, 3.0, p=2.0)
+        u0 = np.exp(-((grid.x - 0.8) / 0.15) ** 2)
+        assert type(heat_apply(s3, 0.01, u0, grid)) is np.ndarray
+
     def test_semigroup_property(self, s3):
         grid = RadialGrid.graded(400, 3.0, p=2.0)
         u0 = lambda y: np.exp(-((y - 0.8) / 0.15) ** 2)
         a1 = heat_apply(s3, 0.004, u0, grid)
-        a12 = heat_apply(s3, 0.006, a1.values, grid).values
-        direct = heat_apply(s3, 0.010, u0, grid).values
+        a12 = heat_apply(s3, 0.006, a1, grid)
+        direct = heat_apply(s3, 0.010, u0, grid)
         assert np.max(np.abs(a12 - direct)) < 1e-6 * np.max(np.abs(direct))
 
     def test_short_time_approximate_identity(self, s3):
         grid = RadialGrid.graded(400, 3.0, p=2.0)
         u0 = lambda y: np.exp(-((y - 0.8) / 0.15) ** 2)
-        out = heat_apply(s3, 1e-5, u0, grid).values
+        out = heat_apply(s3, 1e-5, u0, grid)
         assert np.max(np.abs(out - u0(grid.x))) < 2e-3 * np.max(u0(grid.x))
 
     def test_spectral_decay_rate(self, s3):
@@ -164,14 +169,14 @@ class TestHeatApply:
         ph0 = phi(grid.x)
         sel = (grid.x > 0.3) & (grid.x < 2.5)
         for t in (0.1, 0.5, 1.0):
-            ht = heat_apply(s3, t, phi, grid).values
+            ht = heat_apply(s3, t, phi, grid)
             ratio = np.mean(ht[sel] / ph0[sel])
             assert abs(ratio / math.exp(-sigma1 * t) - 1.0) < 0.02
 
     def test_positivity(self, s3):
         grid = RadialGrid.graded(300, 2.0, p=2.0)
         u0 = lambda y: np.exp(-((y - 0.5) / 0.1) ** 2)
-        assert np.all(heat_apply(s3, 0.01, u0, grid).values > 0)
+        assert np.all(heat_apply(s3, 0.01, u0, grid) > 0)
 
     def test_outer_mass_warning(self, s3):
         grid = RadialGrid.graded(200, 1.0, p=1.0)
@@ -220,7 +225,7 @@ def test_heat_convolve_resolvent_identity(s3):
     grid = RadialGrid.graded(400, L, p=1.0)
     phi = lambda y: jv(1.0, math.sqrt(sigma1) * y) / np.maximum(y, 1e-300)
     T = 0.5
-    conv = heat_convolve(s3, T, phi, grid).values
+    conv = heat_convolve(s3, T, phi, grid)
     expect = (1.0 - math.exp(-sigma1 * T)) / sigma1
     sel = (grid.x > 0.3) & (grid.x < 2.0)
     ratio = np.mean(conv[sel] / phi(grid.x)[sel])

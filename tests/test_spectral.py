@@ -64,7 +64,7 @@ class TestAssembly:
         met = sphere_suspension(s3, 300, radius=1.0, p=1.0)
         prob = assemble_operator(RadialOperator(met, q=1.0, c=4.0))
         rng = np.random.default_rng(1)
-        scal_min = np.min(geometry.warped_scal(met).values)
+        scal_min = np.min(geometry.warped_scal(met))
         for _ in range(5):
             u = rng.standard_normal(300) ** 2 + 0.1
             assert rayleigh_quotient(prob, u) >= scal_min - 1e-8
@@ -92,11 +92,16 @@ class TestGroundState:
         assert abs(sigma - j21**2) < 1e-3 * j21**2
         assert eigen_residual(op, sigma, u, dirichlet_outer=True) < 1e-8
 
+    def test_state_is_plain_array(self, s3):
+        met = sphere_suspension(s3, 100, radius=1.0, p=2.0)
+        u = solve_ground_state(RadialOperator(met, q=1.0, c=4.0))[1]
+        assert type(u) is np.ndarray and u.shape == (100,)
+
     def test_round_s4_constant_ground_state(self, s3):
         met = sphere_suspension(s3, 800, radius=1.0, p=2.0)
         sigma, u = solve_ground_state(RadialOperator(met, q=1.0, c=4.0))
         assert abs(sigma - 12.0) < 1e-6
-        assert np.ptp(u.values) < 1e-6 * np.max(u.values)
+        assert np.ptp(u) < 1e-6 * np.max(u)
 
     def test_scaling_identity(self, s3):
         met = sphere_suspension(s3, 400, radius=1.0, p=2.0)
@@ -129,16 +134,16 @@ class TestGroundState:
         g = RadialGrid.graded(800, 1.0, p=2.0)
         op = RadialOperator(flat_cone(s3, g), c=1.0)
         _, u = solve_ground_state(op, dirichlet_outer=True)
-        xu = g.x * g.d1(u.values)
-        assert np.max(np.abs(u.values[:5])) < 2.0 * np.max(np.abs(u.values))
-        assert np.max(np.abs(xu[:5])) < 0.1 * np.max(np.abs(u.values))
+        xu = g.x * g.d1(u)
+        assert np.max(np.abs(u[:5])) < 2.0 * np.max(np.abs(u))
+        assert np.max(np.abs(xu[:5])) < 0.1 * np.max(np.abs(u))
 
     def test_normalization(self, s3):
         met = sphere_suspension(s3, 300, radius=1.0, p=1.0)
         _, u = solve_ground_state(RadialOperator(met, q=1.0, c=4.0))
         w = geometry.volume_form(met)
-        assert abs(u.values @ (w * u.values) - 1.0) < 1e-12
-        assert np.all(u.values > 0)
+        assert abs(u @ (w * u) - 1.0) < 1e-12
+        assert np.all(u > 0)
 
 
 class TestFitAsymptotics:
