@@ -128,9 +128,12 @@ def _set_value(cfg: dict, section: str, key: str, raw) -> None:
         raise ConfigError(f"unknown config key {section}.{key!r}{hint}")
     parse = CONFIG_SCHEMA[section][key][0]
     try:
-        cfg[section][key] = parse(raw)
+        val = parse(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+    cfg[section][key] = val
 
 
 def parse_config(path: str | None = None,
@@ -162,6 +165,11 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"tolerances.{key} must be positive")
     if cfg["grid"]["N"] < 16:
         raise ConfigError("grid.N must be at least 16")
+    h = cfg["heat"]
+    if not 0 < h["t_min"] <= h["t_max"]:
+        raise ConfigError("heat needs 0 < t_min <= t_max")
+    if h["n_samples"] < 1:
+        raise ConfigError("heat.n_samples must be at least 1")
     if cfg["metric"]["path"] and cfg["metric"]["preset"] not in ("", "file"):
         raise ConfigError(
             "metric.path conflicts with metric.preset; use preset = file")

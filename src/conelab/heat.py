@@ -10,6 +10,11 @@ uniform asymptotic expansion (DLMF 10.41) for large argument; the scaled
 variant e^{-z} I_nu(z) stays finite far beyond the overflow range and lets
 the kernel be assembled through the stable combination
 exp(z - (x^2+y^2)/4t) = exp(-(x-y)^2/4t).
+
+`heat_apply` forms no dense kernel matrix: below the branch point z = 30
+the series factorizes and is summed by prefix sums, and above it the kernel
+is evaluated on each row's Gaussian band only; both agree with the kernel
+above to roundoff.
 """
 
 from __future__ import annotations
@@ -158,11 +163,11 @@ def cone_kernel_mode(n: int, nu: float, t, x, x_tilde):
     """Mode-nu radial heat kernel of the exact (n+1)-dimensional cone.
 
     t, x and x_tilde may be scalars or arrays that broadcast against each
-    other; every entry of t must be positive.
+    other; every entry of t must be finite and positive.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("time t must be positive")
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise ValueError("time t must be finite and positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(x_tilde, dtype=float)
     pref = (x * y) ** (-(n - 1) / 2.0) / (2.0 * t)
@@ -186,11 +191,6 @@ def _gauss_rule_cached(key):
     return _panel_gauss(np.concatenate([[0.0], x_tuple]), npts)
 
 
-def cell_gauss_rule(grid: RadialGrid, npts: int = 4):
-    """Gauss-Legendre nodes/weights per grid cell, including the tip cell."""
-    return _gauss_rule_cached((tuple(grid.x), npts))
-
-
 def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
                mode: float = 0.0, quad_pts: int = 4) -> np.ndarray:
     """Apply the mode heat semigroup: integral of h_nu(t,x,y) u(y) y^n dy.
@@ -198,31 +198,74 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
     u may be grid values (interpolated to the quadrature nodes by a cubic
     spline) or a callable evaluated at the nodes directly; pass a callable
     for sources that vary too fast near the tip for interpolation.
+
+    The pairs of grid points x and Gauss nodes y split at the Bessel branch
+    point z = x y / 2t = 30.  In the far field, z <= 30, the ascending
+    series factorizes,
+
+        e^{-(x^2+y^2)/4t} I_nu(x y / 2t) = sum_k A_k(x) A_k(y),
+        A_k(s) = (s / 2 sqrt t)^{2k+nu} e^{-s^2/4t} / sqrt(k! Gamma(k+nu+1)),
+
+    so a row's far-field sum is sum_k A_k(x) times a prefix sum over the
+    sorted nodes: O(K (N+Q)) work.  Every A_k is at most about 1 and every
+    term is positive, so nothing cancels or overflows, and the series stops
+    by `bessel_i`'s rule: the far field is the series kernel to roundoff.
+    In the near field, z > 30, `cone_kernel_mode` runs only on the pairs of
+    the Gaussian band (x-y)^2/4t <= 41; the pairs outside it contribute
+    below 2e-18 of the kernel scale.
     """
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError("time t must be finite and positive")
     n = link.n
     nu = nu_from_mode(n, mode)
-    xq, wq = cell_gauss_rule(grid, quad_pts)
+    x = grid.x
+    xq, wq = _gauss_rule_cached((tuple(x), quad_pts))
     if callable(u):
-        vals = u(grid.x)
+        vals = u(x)
         uq = u(xq)
     else:
         from scipy.interpolate import CubicSpline
         vals = np.asarray(u, dtype=float)
-        uq = CubicSpline(grid.x, vals, extrapolate=True)(xq)
+        uq = CubicSpline(x, vals, extrapolate=True)(xq)
     # warn if u carries mass the truncated quadrature domain cannot absorb
     edge = np.abs(vals[-1]) * grid.L**n
     if edge > 1e-12 * max(1.0, np.max(np.abs(vals))):
         warnings.warn("field has mass near the outer truncation radius",
                       stacklevel=2)
-    # Gaussian locality: entries with (x-y)^2/4t > 41 contribute < 2e-18
-    # of the kernel scale and are skipped entirely
-    X, Y = grid.x[:, None], xq[None, :]
-    act = (X - Y) ** 2 <= 4.0 * t * 41.0
-    kern = np.zeros(act.shape)
-    xa = np.broadcast_to(X, act.shape)[act]
-    ya = np.broadcast_to(Y, act.shape)[act]
-    kern[act] = cone_kernel_mode(n, nu, t, xa, ya)
-    return kern @ (uq * xq**n * wq)
+    g = uq * xq**n * wq
+    # split_i is the first node y with z = x_i y / 2t past the series range
+    split = np.searchsorted(xq, 2.0 * t * _SERIES_MAX_Z / x, side="right")
+
+    # far field: row i sums A_k(x_i) times the prefix sum of
+    # A_k(y) y^{-(n-1)/2} g(y) over the nodes j < split_i, and of its
+    # absolute value, which decides where the series stops
+    r = np.count_nonzero(split)  # split falls as x grows
+    far = np.zeros(x.size)
+    if r:
+        m, cut = split[0], split[:r]
+        s = np.concatenate([x[:r], xq[:m]])
+        a = np.exp(nu * np.log(s / (2.0 * math.sqrt(t))) - s * s / (4.0 * t)
+                   - 0.5 * math.lgamma(nu + 1.0))
+        gf = g[:m] * xq[:m] ** (-(n - 1) / 2.0)
+        gf = np.column_stack([gf, np.abs(gf)])
+        total = np.zeros((r, 2))
+        for k in range(_SERIES_TERMS + 1):
+            if k:
+                a *= s * s / (4.0 * t * math.sqrt(k * (k + nu)))
+            term = a[:r, None] * np.cumsum(a[r:, None] * gf, axis=0)[cut - 1]
+            total += term
+            if k > 4 and np.max(term[:, 1]) <= 1e-18 * np.max(total[:, 1]):
+                break
+        far[:r] = total[:, 0] * x[:r] ** (-(n - 1) / 2.0) / (2.0 * t)
+
+    # near field, z > 30: the kernel on each row's band of Gaussian reach
+    reach = math.sqrt(4.0 * t * 41.0)
+    lo = np.maximum(split, np.searchsorted(xq, x - reach, side="left"))
+    count = np.maximum(np.searchsorted(xq, x + reach, side="right") - lo, 0)
+    i = np.repeat(np.arange(x.size), count)
+    j = np.arange(i.size) + (lo - np.cumsum(count) + count)[i]
+    near = cone_kernel_mode(n, nu, t, x[i], xq[j]) * g[j]
+    return far + np.bincount(i, weights=near, minlength=x.size)
 
 
 def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,

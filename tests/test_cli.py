@@ -166,6 +166,12 @@ class TestExitCodes:
         ["heat-check", "--N", "5"],
         ["lambda", "--N", "abc"],
         ["lambda", "--bogus"],
+        ["heat-check", "--set", "heat.t_min=nan"],
+        ["heat-check", "--set", "heat.t_max=inf"],
+        ["heat-check", "--set", "tolerances.heat_error=nan"],
+        ["heat-check", "--set", "heat.t_min=-1"],
+        ["heat-check", "--set", "heat.t_min=2", "--set", "heat.t_max=1"],
+        ["heat-check", "--set", "heat.n_samples=0"],
     ])
     def test_usage_error_is_one_line(self, tmp_path, capsys, args):
         # flags are --set shorthands: validated like the config, and a

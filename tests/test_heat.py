@@ -3,15 +3,17 @@ diagnostics."""
 
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import ive, jv
 
-from conelab import geometry, link as linkmod
+from conelab import geometry, heat, link as linkmod
 from conelab.geometry import RadialGrid
 from conelab.heat import (
     bessel_i,
@@ -125,6 +127,9 @@ class TestConeKernel:
             cone_kernel_mode(3, 1.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             cone_kernel_mode(3, 1.0, np.array([0.05, 0.0]), 1.0, 1.0)
+        for bad in (math.nan, math.inf, np.array([0.05, math.nan])):
+            with pytest.raises(ValueError):
+                cone_kernel_mode(3, 1.0, bad, 0.5, 0.5)
         # an array of times broadcasts against x and x_tilde entry by entry
         t = np.array([0.01, 0.05, 0.3])
         x = np.array([0.4, 1.1, 1.9])
@@ -138,6 +143,39 @@ class TestConeKernel:
 
 
 class TestHeatApply:
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_time_validation(self, s3, t):
+        # the far-field series never calls the kernel, so heat_apply checks
+        # t itself instead of relying on cone_kernel_mode's check
+        grid = RadialGrid.graded(100, 3.0, p=2.0)
+        u0 = np.exp(-((grid.x - 0.8) / 0.15) ** 2)
+        with pytest.raises(ValueError):
+            heat_apply(s3, t, u0, grid)
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    @pytest.mark.parametrize("mode", [0.0, 8.0])
+    def test_matches_dense_banded_kernel(self, name, mode):
+        """The far-field series and the near-field band reproduce the dense
+        sum of cone_kernel_mode over every pair with (x-y)^2/4t <= 41."""
+        lk = linkmod.get_link(name)
+        nu = nu_from_mode(lk.n, mode)
+        f = lambda y: np.exp(-((y - 0.8) / 0.3) ** 2) * np.cos(3 * y) + 0.2
+        for N, L, p in ((200, 3.0, 2.0), (150, 5.0, 1.0)):
+            grid = RadialGrid.graded(N, L, p=p)
+            nodes, weights = heat._gauss_rule_cached((tuple(grid.x), 4))
+            X, Y = grid.x[:, None], nodes[None, :]
+            for t in (1e-7, 1e-4, 3e-3, 0.05, 1.0, 20.0):
+                kern = np.where((X - Y) ** 2 <= 4.0 * t * 41.0,
+                                cone_kernel_mode(lk.n, nu, t, X, Y), 0.0)
+                for u in (f, f(grid.x)):
+                    uq = f(nodes) if callable(u) else CubicSpline(grid.x, u)(nodes)
+                    ref = kern @ (uq * nodes**lk.n * weights)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        out = heat_apply(lk, t, u, grid, mode=mode)
+                    err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+                    assert err <= 1e-13, (N, t, callable(u), err)
+
     def test_returns_plain_array(self, s3):
         grid = RadialGrid.graded(100, 3.0, p=2.0)
         u0 = np.exp(-((grid.x - 0.8) / 0.15) ** 2)
