@@ -29,9 +29,6 @@ EXIT_OK = 0
 EXIT_OPERATIONAL = 1
 EXIT_PROPERTY = 2
 
-SUBCOMMANDS = ("link-check", "lambda", "mu", "nu", "flow", "heat-check",
-               "mapping", "convergence")
-
 
 class ConfigError(geometry.ConelabError):
     pass
@@ -165,6 +162,8 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"tolerances.{key} must be positive")
     if cfg["grid"]["N"] < 16:
         raise ConfigError("grid.N must be at least 16")
+    if cfg["convergence"]["base_N"] < 16:
+        raise ConfigError("convergence.base_N must be at least 16")
     h = cfg["heat"]
     if not 0 < h["t_min"] <= h["t_max"]:
         raise ConfigError("heat needs 0 < t_min <= t_max")
@@ -323,13 +322,12 @@ def svg_line_plot(path: str, xs, ys, title: str) -> None:
 
 # -- subcommands -------------------------------------------------------------------
 
-def cmd_link_check(cfg: dict) -> tuple[int, dict]:
+def cmd_link_check(cfg: dict) -> dict:
     link = build_link(cfg)
-    report = _base_report(cfg, "link-check")
     verdict = linkmod.check_tangential_stability(link)
     gap = linkmod.check_admissibility_gap(link)
     ind = spectral.indicial_exponents(link, gamma=cfg["metric"]["gamma"])
-    report.update({
+    return {
         "link": link.name,
         "n": link.n,
         "stability": verdict,
@@ -338,10 +336,9 @@ def cmd_link_check(cfg: dict) -> tuple[int, dict]:
         "indicial_nu": ind.nu,
         "indicial_mu_plus": ind.mu_plus,
         "essentially_selfadjoint": ind.essentially_selfadjoint,
-    })
-    ok = verdict in (linkmod.STRICTLY_STABLE, linkmod.STABLE_NOT_STRICT) and gap
-    report["pass"] = ok
-    return (EXIT_OK if ok else EXIT_PROPERTY), report
+        "pass": (verdict in (linkmod.STRICTLY_STABLE,
+                             linkmod.STABLE_NOT_STRICT) and gap),
+    }
 
 
 def _solution_fields(rep, grid: geometry.RadialGrid) -> dict:
@@ -367,53 +364,48 @@ def _mu_report_dict(rep: entropy.MuReport, grid: geometry.RadialGrid) -> dict:
     }
 
 
-def _residual_gate(cfg: dict, report: dict, rep) -> tuple[int, dict]:
-    """Pass iff the EL and constraint residuals of rep are within tolerance."""
+def _residual_gate(cfg: dict, rep) -> bool:
+    """Whether the EL and constraint residuals of rep are within tolerance."""
     tol = cfg["tolerances"]
-    ok = (rep.el_residual < tol["el_residual"]
-          and rep.constraint_residual < tol["constraint"])
-    report["pass"] = ok
-    return (EXIT_OK if ok else EXIT_PROPERTY), report
+    return (rep.el_residual < tol["el_residual"]
+            and rep.constraint_residual < tol["constraint"])
 
 
-def cmd_lambda(cfg: dict) -> tuple[int, dict]:
+def cmd_lambda(cfg: dict) -> dict:
     metric = build_metric(cfg)
     rep = entropy.compute_lambda(metric)
-    report = _base_report(cfg, "lambda")
-    report.update(_solution_fields(rep, metric.grid))
-    return _residual_gate(cfg, report, rep)
+    return {**_solution_fields(rep, metric.grid),
+            "pass": _residual_gate(cfg, rep)}
 
 
-def cmd_mu(cfg: dict) -> tuple[int, dict]:
+def cmd_mu(cfg: dict) -> dict:
     metric = build_metric(cfg)
     rep = entropy.compute_mu(metric, cfg["mu"]["tau"],
                              variant=cfg["mu"]["variant"])
-    report = _base_report(cfg, "mu")
-    report.update(_mu_report_dict(rep, metric.grid))
-    return _residual_gate(cfg, report, rep)
+    return {**_mu_report_dict(rep, metric.grid),
+            "pass": _residual_gate(cfg, rep)}
 
 
-def cmd_nu(cfg: dict) -> tuple[int, dict]:
+def cmd_nu(cfg: dict) -> dict:
     metric = build_metric(cfg)
     rep = entropy.compute_nu(metric, variant=cfg["nu"]["variant"],
                              tau_range=(cfg["nu"]["tau_min"],
                                         cfg["nu"]["tau_max"]))
-    report = _base_report(cfg, "nu")
-    report.update({
+    if cfg["run"]["svg"]:
+        svg_line_plot(os.path.join(output_dir(cfg), "tau_profile.svg"),
+                      np.log10(rep.tau_profile), rep.mu_profile,
+                      f"mu_{rep.variant}(tau) vs log10 tau")
+    return {
         "value": rep.value,
         "tau_star": rep.tau_star,
         "variant": rep.variant,
         "lambda_value": rep.lambda_value,
         "optimal_slice": _mu_report_dict(rep.mu_report, metric.grid),
-    })
-    if cfg["run"]["svg"]:
-        svg_line_plot(os.path.join(output_dir(cfg), "tau_profile.svg"),
-                      np.log10(rep.tau_profile), rep.mu_profile,
-                      f"mu_{rep.variant}(tau) vs log10 tau")
-    return _residual_gate(cfg, report, rep.mu_report)
+        "pass": _residual_gate(cfg, rep.mu_report),
+    }
 
 
-def cmd_flow(cfg: dict) -> tuple[int, dict]:
+def cmd_flow(cfg: dict) -> dict:
     metric = build_metric(cfg)
     f = cfg["flow"]
     reference = None
@@ -429,7 +421,7 @@ def cmd_flow(cfg: dict) -> tuple[int, dict]:
         sample_period=f["t_end"] / max(f["samples"], 1),
         entropy_kind=f["entropy"], cone_drift_bound=f["drift_bound"])
     trajectory = flow.run_flow(metric, fconf)
-    report = _base_report(cfg, "flow")
+    report = {}
     rows = [(s.t, s.entropy_value, s.sup_ric, s.cone_factor)
             for s in trajectory]
     write_csv(cfg, "flow_series.csv",
@@ -453,8 +445,8 @@ def cmd_flow(cfg: dict) -> tuple[int, dict]:
                           [s.entropy_value for s in trajectory],
                           f"{fconf.entropy_kind} along the flow")
     first, last = trajectory[0], trajectory[-1]
-    cone_drift = abs(last.cone_factor / first.cone_factor - 1.0)
-    report.update({
+    return {
+        **report,
         "samples": len(trajectory),
         "t_end": last.t,
         "sup_ric_initial": first.sup_ric,
@@ -462,15 +454,14 @@ def cmd_flow(cfg: dict) -> tuple[int, dict]:
         "sup_ric_normalized_final": last.sup_ric_normalized,
         "cone_factor_initial": first.cone_factor,
         "cone_factor_final": last.cone_factor,
-        "cone_factor_drift": cone_drift,
+        "cone_factor_drift": abs(last.cone_factor / first.cone_factor - 1.0),
         "entropy_initial": first.entropy_value,
         "entropy_final": last.entropy_value,
-    })
-    report["pass"] = bool(ok)
-    return (EXIT_OK if ok else EXIT_PROPERTY), report
+        "pass": bool(ok),
+    }
 
 
-def cmd_heat_check(cfg: dict) -> tuple[int, dict]:
+def cmd_heat_check(cfg: dict) -> dict:
     h = cfg["heat"]
     rng = np.random.default_rng(cfg["run"]["seed"])
     ns = h["n_samples"]
@@ -481,27 +472,21 @@ def cmd_heat_check(cfg: dict) -> tuple[int, dict]:
     err = heat.s1_plane_kernel_error(t, x, y, dth)
     mass = heat.kernel_mass(3, 0.01, 1.0)
     mass_err = abs(mass - 1.0)
-    report = _base_report(cfg, "heat-check")
     tol = cfg["tolerances"]["heat_error"]
-    ok = err < tol and mass_err < tol
-    report.update({
+    return {
         "plane_equality_max_relative_error": err,
         "mass_conservation_error": mass_err,
         "n_samples": ns,
-        "pass": ok,
-    })
-    return (EXIT_OK if ok else EXIT_PROPERTY), report
+        "pass": err < tol and mass_err < tol,
+    }
 
 
-def cmd_mapping(cfg: dict) -> tuple[int, dict]:
-    rep = heat.mapping_exponent_report(build_link(cfg),
-                                       cfg["mapping"]["exponent"])
-    report = _base_report(cfg, "mapping")
-    report.update(rep)
-    return (EXIT_OK if rep["pass"] else EXIT_PROPERTY), report
+def cmd_mapping(cfg: dict) -> dict:
+    return heat.mapping_exponent_report(build_link(cfg),
+                                        cfg["mapping"]["exponent"])
 
 
-def cmd_convergence(cfg: dict) -> tuple[int, dict]:
+def cmd_convergence(cfg: dict) -> dict:
     c = cfg["convergence"]
     if c["refinements"] < 2:
         raise ConfigError("convergence needs at least 2 refinements")
@@ -523,25 +508,24 @@ def cmd_convergence(cfg: dict) -> tuple[int, dict]:
         order = float(np.mean(orders)) if orders else float("nan")
     write_csv(cfg, "convergence.csv", ["N", "lambda"],
               list(zip(Ns, values)))
-    report = _base_report(cfg, "convergence")
-    ok = bool(orders) and order >= cfg["tolerances"]["fit_order"]
-    report.update({
+    if cfg["run"]["svg"]:
+        svg_line_plot(os.path.join(output_dir(cfg), "convergence.svg"),
+                      np.log2(Ns), np.log10(np.abs(np.array(
+                          values) - values[-1]) + 1e-300),
+                      "log10 |lambda_N - lambda_finest| vs log2 N")
+    return {
         "op": "lambda",
         "N_values": Ns,
         "values": values,
         "successive_differences": diffs,
         "fitted_order": order if math.isfinite(order) else None,
         "exact_at_all_resolutions": not math.isfinite(order) and bool(orders),
-        "pass": ok,
-    })
-    if cfg["run"]["svg"]:
-        svg_line_plot(os.path.join(output_dir(cfg), "convergence.svg"),
-                      np.log2(Ns), np.log10(np.abs(np.array(
-                          values) - values[-1]) + 1e-300),
-                      "log10 |lambda_N - lambda_finest| vs log2 N")
-    return (EXIT_OK if ok else EXIT_PROPERTY), report
+        "pass": bool(orders) and order >= cfg["tolerances"]["fit_order"],
+    }
 
 
+# each runner returns its own report fields, "pass" among them; main adds
+# the shared envelope of _base_report and derives the exit code from "pass"
 _RUNNERS = {
     "link-check": cmd_link_check,
     "lambda": cmd_lambda,
@@ -584,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
                     "on radial conical metrics")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _RUNNERS:
         sp = subs.add_parser(name, help=f"run the {name} harness")
         sp.add_argument("--config", help="INI configuration file")
         sp.add_argument("--set", action="append", default=[],
@@ -603,15 +587,16 @@ def main(argv: list[str] | None = None) -> int:
                  if "." in dest and val is not None]
         cfg = parse_config(args.config, args.set + flags)
         cfg["run"]["subcommand"] = args.subcommand
-        code, report = _RUNNERS[args.subcommand](cfg)
+        report = {**_base_report(cfg, args.subcommand),
+                  **_RUNNERS[args.subcommand](cfg)}
     except (geometry.ConelabError, OSError, ValueError) as exc:
         print(f"conelab: error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
 
     path = write_report(cfg, report)
-    verdict = "pass" if code == EXIT_OK else "property-check failure"
+    verdict = "pass" if report["pass"] else "property-check failure"
     print(f"conelab {args.subcommand}: {verdict} ({path})")
-    return code
+    return EXIT_OK if report["pass"] else EXIT_PROPERTY
 
 
 if __name__ == "__main__":

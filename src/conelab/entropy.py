@@ -83,11 +83,6 @@ def evaluate_w(metric: RadialMetric, omega, tau: float, variant: str = "minus",
     return sm * (tau * quad - e * log_part)
 
 
-def constraint_residual(metric: RadialMetric, omega, tau: float) -> float:
-    w = volume_form(metric)
-    return abs(_s_m(metric.m, tau) * float(omega @ (w * omega)) - 1.0)
-
-
 @dataclass
 class MuReport:
     value: float

@@ -268,7 +268,6 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
 @dataclass
 class MonotonicityReport:
     which: str
-    values: np.ndarray
     min_successive_diff: float
     passed: bool
     constant: bool
@@ -300,7 +299,7 @@ def monotonicity_report(trajectory: list[FlowState], config: FlowConfig,
     if constant:
         stat_sup = trajectory[-1].sup_ric_normalized
         stat_ok = stat_sup < 1e-6
-    return MonotonicityReport(which=config.entropy_kind, values=vals,
+    return MonotonicityReport(which=config.entropy_kind,
                               min_successive_diff=min_diff, passed=passed,
                               constant=constant, stationarity_sup=stat_sup,
                               stationarity_ok=stat_ok)

@@ -22,9 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-TWO_CONES = "two_cones"
-CONE_AND_CAP = "cone_and_cap"
-
 # width of the interpolation stencil; 7 points keep the curvature error far
 # below the flow fixed-point drift tolerance at moderate N
 STENCIL = 7
@@ -71,11 +68,12 @@ class RadialGrid:
 
     x: np.ndarray
     L: float
-    p: float = 2.0
 
     def __post_init__(self):
         x = _read_only(np.array(self.x, dtype=float))
         object.__setattr__(self, "x", x)
+        if x.ndim != 1 or x.size == 0:
+            raise ValueError("grid nodes must be a non-empty 1-D array")
         if not (np.all(np.isfinite(x)) and x[0] > 0 and np.all(np.diff(x) > 0)):
             raise ValueError("grid nodes must be finite, strictly increasing "
                              "and positive")
@@ -84,7 +82,7 @@ class RadialGrid:
     def graded(cls, N: int, L: float, p: float = 2.0) -> "RadialGrid":
         """x_i = L (i/N)^p: clustered at the tip for p > 1."""
         i = np.arange(1, N + 1, dtype=float)
-        return cls(x=L * (i / N) ** p, L=L, p=p)
+        return cls(x=L * (i / N) ** p, L=L)
 
     @property
     def N(self) -> int:
@@ -139,7 +137,6 @@ class RadialMetric:
     a: np.ndarray
     b: np.ndarray
     gamma: float = 1.0
-    topology_tag: str = TWO_CONES
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -166,7 +163,7 @@ class RadialMetric:
 
     @property
     def cone_factor(self) -> float:
-        """Fitted limit of b(x)/x at the tip."""
+        """b/x at the first grid node, standing in for its limit at the tip."""
         return float(self.b[0] / self.grid.x[0])
 
     def derived(self, build):
@@ -249,7 +246,7 @@ def warped_scal(metric: RadialMetric) -> np.ndarray:
     return ric_rad + metric.link.n * ric_link
 
 
-# -- measures and norms --------------------------------------------------------
+# -- measures ------------------------------------------------------------------
 
 def volume_form(metric: RadialMetric) -> np.ndarray:
     """Quadrature weights w_i with sum(w * u) ~ integral of u dV_g.
@@ -268,11 +265,6 @@ def volume_form(metric: RadialMetric) -> np.ndarray:
 
 def total_volume(metric: RadialMetric) -> float:
     return float(volume_form(metric).sum())
-
-
-def weighted_sup_norm(u, grid: RadialGrid, gamma: float) -> float:
-    """sup over the grid of x^{-gamma} |u|."""
-    return float(np.max(np.abs(u) * grid.x ** (-gamma)))
 
 
 def radial_hessian(f, metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
@@ -295,29 +287,6 @@ def radial_hessian(f, metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     return hess_rad, hess_link
 
 
-def laplacian(f, metric: RadialMetric) -> np.ndarray:
-    """div grad f for radial f (negative-spectrum sign convention)."""
-    hr, hl = radial_hessian(f, metric)
-    return hr + metric.link.n * hl
-
-
-def weighted_sobolev_norm(u, metric: RadialMetric, s: int, delta: float) -> float:
-    """Discrete weighted Sobolev norm: sum_{k<=s} ||x^{k-delta} grad^k u||_L2."""
-    if s not in (0, 1, 2):
-        raise ValueError("only s in {0, 1, 2} supported")
-    w = volume_form(metric)
-    x = metric.grid.x
-    total = np.sqrt(np.sum(w * (x ** (-delta) * u) ** 2))
-    if s >= 1:
-        Du = metric.grid.d1(u) / metric.a
-        total += np.sqrt(np.sum(w * (x ** (1 - delta) * Du) ** 2))
-    if s >= 2:
-        hr, hl = radial_hessian(u, metric)
-        h2 = hr**2 + metric.link.n * hl**2
-        total += np.sqrt(np.sum(w * x ** (2 * (2 - delta)) * h2))
-    return float(total)
-
-
 # -- presets -------------------------------------------------------------------
 
 def flat_cone(link, grid: RadialGrid, cone_factor: float = 1.0,
@@ -326,7 +295,7 @@ def flat_cone(link, grid: RadialGrid, cone_factor: float = 1.0,
     return RadialMetric(
         link=link, grid=grid,
         a=np.ones(grid.N), b=cone_factor * grid.x,
-        gamma=gamma, topology_tag=TWO_CONES,
+        gamma=gamma,
     )
 
 
@@ -340,7 +309,7 @@ def sphere_suspension(link, N: int, radius: float = 1.0, p: float = 1.0) -> Radi
     return RadialMetric(
         link=link, grid=grid,
         a=np.ones(grid.N), b=radius * np.sin(grid.x / radius),
-        gamma=2.0, topology_tag=CONE_AND_CAP,
+        gamma=2.0,
     )
 
 
@@ -357,7 +326,7 @@ def perturbed_cone(link, grid: RadialGrid, amplitude: float,
     return RadialMetric(
         link=link, grid=grid,
         a=np.ones(grid.N), b=x * (1.0 + pert),
-        gamma=exponent, topology_tag=TWO_CONES,
+        gamma=exponent,
     )
 
 
@@ -368,16 +337,16 @@ def smooth_cutoff(x: np.ndarray, x_on: float, x_off: float) -> np.ndarray:
     return np.cos(0.5 * np.pi * t) ** 2
 
 
-def metric_from_csv(link, path: str, gamma: float = 1.0,
-                    topology_tag: str = TWO_CONES) -> RadialMetric:
+def metric_from_csv(link, path: str, gamma: float = 1.0) -> RadialMetric:
     """Sampled metric from a CSV file with header columns x, a, b."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    grid = RadialGrid(x=np.asarray(data["x"], dtype=float),
-                      L=float(data["x"][-1]), p=1.0)
+    data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+    x = np.asarray(data["x"], dtype=float)
+    # max rather than x[-1]: an empty file reaches the grid's own check
+    grid = RadialGrid(x=x, L=float(np.max(x, initial=0.0)))
     return RadialMetric(link=link, grid=grid,
                         a=np.asarray(data["a"], dtype=float),
                         b=np.asarray(data["b"], dtype=float),
-                        gamma=gamma, topology_tag=topology_tag)
+                        gamma=gamma)
 
 
 def perturb_metric(metric: RadialMetric, h_rad, h_link, eps: float) -> RadialMetric:

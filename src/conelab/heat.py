@@ -58,13 +58,6 @@ def _debye_polynomials(kmax: int):
 _DEBYE_U = _debye_polynomials(_DEBYE_ORDER)
 
 
-def _polyval_ascending(coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    for c in coeffs[::-1]:
-        out = out * p + c
-    return out
-
-
 def _bessel_i_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     """e^{-z} I_nu(z) by the ascending series; intended for z <= ~30."""
     out = np.zeros_like(z)
@@ -91,16 +84,14 @@ def _bessel_i_bigz_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     """e^{-z} I_nu(z) by the fixed-order large-z expansion (needs 4 nu^2 <~ z)."""
     total = np.ones_like(z)
     term = np.ones_like(z)
+    live = np.arange(z.size)  # entries whose last term was still >= 1e-17
     fournu2 = 4.0 * nu * nu
-    prev = np.full_like(z, np.inf)
     for k in range(1, 30):
-        factor = -(fournu2 - (2 * k - 1) ** 2) / (8.0 * k * z)
-        term = term * factor
-        grow = np.abs(term) >= prev
-        term = np.where(grow, 0.0, term)
-        total += term
-        prev = np.where(grow, prev, np.abs(term))
-        if np.all(np.abs(term) < 1e-17):
+        term = term * (-(fournu2 - (2 * k - 1) ** 2) / (8.0 * k * z[live]))
+        total[live] += term
+        keep = np.abs(term) >= 1e-17
+        live, term = live[keep], term[keep]
+        if not live.size:
             break
     return total / np.sqrt(2.0 * np.pi * z)
 
@@ -114,7 +105,7 @@ def _bessel_i_debye_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     expo = nu / (s + w) + nu * np.log(w / (1.0 + s))
     total = np.zeros_like(z)
     for k, coeffs in enumerate(_DEBYE_U):
-        total += _polyval_ascending(coeffs, p) / nu**k
+        total += np.polynomial.polynomial.polyval(p, coeffs) / nu**k
     return np.exp(expo) / np.sqrt(2.0 * np.pi * nu * s) * total
 
 
@@ -135,19 +126,12 @@ def bessel_i(nu: float, z, scaled: bool = False):
     small = z_arr <= _SERIES_MAX_Z
     if small.any():
         out[small] = _bessel_i_series_scaled(nu, z_arr[small])
-    big = ~small
-    if big.any():
-        if 4.0 * nu * nu <= _SERIES_MAX_Z:
-            out[big] = _bessel_i_bigz_scaled(nu, z_arr[big])
-        else:
-            zb = z_arr[big]
-            res = np.empty_like(zb)
-            fx = 4.0 * nu * nu <= zb
-            if fx.any():
-                res[fx] = _bessel_i_bigz_scaled(nu, zb[fx])
-            if (~fx).any():
-                res[~fx] = _bessel_i_debye_scaled(nu, zb[~fx])
-            out[big] = res
+    debye = ~small & (4.0 * nu * nu > z_arr)
+    bigz = ~small & ~debye
+    if bigz.any():
+        out[bigz] = _bessel_i_bigz_scaled(nu, z_arr[bigz])
+    if debye.any():
+        out[debye] = _bessel_i_debye_scaled(nu, z_arr[debye])
     if not scaled:
         with np.errstate(over="ignore"):
             out = out * np.exp(z_arr)

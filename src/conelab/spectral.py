@@ -255,16 +255,6 @@ def _lambda_problem(metric: RadialMetric) -> LambdaProblem:
     return LambdaProblem(prob, value, omega, el_res, cons)
 
 
-def eigen_residual(op: RadialOperator, sigma: float, u,
-                   dirichlet_outer: bool = False) -> float:
-    prob = assemble_operator(op, dirichlet_outer=dirichlet_outer)
-    vals = np.asarray(u, dtype=float)
-    if dirichlet_outer:
-        vals = vals[:-1]
-    r = prob.matvec(vals) - sigma * prob.mass * vals
-    return float(np.linalg.norm(r) / np.linalg.norm(prob.mass * vals))
-
-
 FIT_EXPONENT_SENTINEL = np.inf
 
 

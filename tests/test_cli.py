@@ -172,6 +172,8 @@ class TestExitCodes:
         ["heat-check", "--set", "heat.t_min=-1"],
         ["heat-check", "--set", "heat.t_min=2", "--set", "heat.t_max=1"],
         ["heat-check", "--set", "heat.n_samples=0"],
+        ["convergence", "--set", "convergence.base_N=0"],
+        ["convergence", "--set", "convergence.base_N=-3"],
     ])
     def test_usage_error_is_one_line(self, tmp_path, capsys, args):
         # flags are --set shorthands: validated like the config, and a
@@ -180,6 +182,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
         assert not (tmp_path / "u").exists()
+
+    @pytest.mark.parametrize("rows", [["x,a,b", "0.5,1.0,0.5"], ["x,a,b"]])
+    def test_degenerate_metric_file_is_one_line(self, tmp_path, capsys,
+                                                rows):
+        # one data row is a one-node grid; a header alone is an empty one
+        path = tmp_path / "metric.csv"
+        path.write_text("\n".join(rows) + "\n")
+        args = ["lambda", "--preset", "file", "--set", f"metric.path={path}",
+                "--output-dir", "d"]
+        assert main(args) == EXIT_OPERATIONAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("conelab: error: ")
+        assert not (tmp_path / "d" / "report.json").exists()
 
     def test_flag_sets_only_its_own_key(self, tmp_path):
         args = ["mu", "--preset", "sphere_suspension", "--N", "200",
@@ -197,6 +212,36 @@ class TestExitCodes:
         rep = _report(tmp_path, "p")
         assert rep["pass"] is False
         assert rep["el_residual"] > 1e-30
+
+
+S4 = ["--preset", "sphere_suspension", "--link", "S3"]
+
+
+@pytest.mark.parametrize("args", [
+    ["link-check"],
+    ["lambda", *S4, "--N", "100"],
+    ["mu", *S4, "--N", "100"],
+    ["nu", *S4, "--N", "120"],
+    ["flow", *S4, "--N", "100", "--set", f"metric.radius={math.sqrt(3.0)!r}",
+     "--set", "flow.normalization=shrink", "--set", "flow.t_end=0.002",
+     "--set", "flow.samples=4"],
+    ["heat-check", "--set", "heat.n_samples=10"],
+    ["mapping", "--set", "mapping.exponent=1"],
+    ["convergence", *S4, "--refinements", "2",
+     "--set", "convergence.base_N=40"],
+], ids=lambda args: args[0])
+def test_report_envelope(tmp_path, args):
+    """Every subcommand's report carries the shared envelope, and the exit
+    code follows its verdict."""
+    code = main([*args, "--output-dir", "r"])
+    rep = _report(tmp_path, "r")
+    assert rep["subcommand"] == args[0]
+    assert rep["schema_version"] == 1
+    for key in ("tool_version", "seed", "grid", "tolerances",
+                "effective_config", "timestamp"):
+        assert key in rep
+    assert isinstance(rep["pass"], bool)
+    assert code == (EXIT_OK if rep["pass"] else EXIT_PROPERTY)
 
 
 class TestConvergence:

@@ -1,4 +1,4 @@
-"""Warped-product curvature, volume measures, and weighted norms."""
+"""Warped-product curvature and volume measures."""
 
 import math
 
@@ -11,7 +11,6 @@ from conelab.geometry import (
     RadialGrid,
     RadialMetric,
     flat_cone,
-    laplacian,
     lie_derivative_tensor,
     metric_from_csv,
     perturb_metric,
@@ -23,8 +22,6 @@ from conelab.geometry import (
     volume_form,
     warped_ricci,
     warped_scal,
-    weighted_sobolev_norm,
-    weighted_sup_norm,
 )
 
 
@@ -40,6 +37,9 @@ def test_graded_grid_construction():
         RadialGrid(x=np.array([0.5, 0.4]), L=1.0)
     with pytest.raises(ValueError, match="finite"):
         RadialGrid(x=np.array([0.5, np.nan, 0.7]), L=1.0)
+    for x in (np.array([]), np.array(0.5), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            RadialGrid(x=x, L=1.0)
 
 
 def test_metric_validation(s3):
@@ -200,51 +200,6 @@ class TestVolume:
         assert np.all(volume_form(flat_cone(s3, g)) > 0)
 
 
-class TestWeightedNorms:
-    def test_sup_norm_exact_powers(self):
-        g = RadialGrid(x=np.concatenate([[1e-3], np.linspace(0.01, 1.0, 99)]),
-                       L=1.0, p=1.0)
-        assert abs(weighted_sup_norm(g.x**2, g, 2.0) - 1.0) < 1e-12
-        assert abs(weighted_sup_norm(g.x**2, g, 3.0) - 1e3) < 1e-9
-
-    def test_sup_norm_taylor_limit(self):
-        # x sin(x) against weight x^2 approaches 1 on shrinking domains
-        prev = 0.0
-        for L in (0.5, 0.1, 0.02):
-            g = RadialGrid.graded(200, L, p=1.0)
-            val = weighted_sup_norm(np.sin(g.x) * g.x, g, 2.0)
-            assert val > prev
-            prev = val
-        assert abs(prev - 1.0) < 1e-4
-
-    def test_sobolev_constant(self, s3):
-        met = sphere_suspension(s3, 500, radius=1.0, p=2.0)
-        norm = weighted_sobolev_norm(np.ones(500), met, 0, 0.0)
-        assert abs(norm - math.sqrt(total_volume(met))) < 1e-12
-
-    def test_sobolev_cone_closed_form(self, s3):
-        # u = x on the exact cone, s = 1, delta = 1: both terms reduce to
-        # the L2 norm of the constant 1
-        g = RadialGrid.graded(500, 1.0, p=2.0)
-        met = flat_cone(s3, g)
-        norm = weighted_sobolev_norm(g.x, met, 1, 1.0)
-        assert abs(norm - 2.0 * math.sqrt(total_volume(met))) < 1e-10
-
-    def test_norm_equivalence_under_order_one_perturbation(self, s3):
-        g = RadialGrid.graded(500, 1.0, p=2.0)
-        met = flat_cone(s3, g)
-        pert = perturbed_cone(s3, g, amplitude=0.5, exponent=1.0)
-        u = np.sin(3 * g.x) * g.x**2
-        ratio = (weighted_sobolev_norm(u, pert, 2, 2.0)
-                 / weighted_sobolev_norm(u, met, 2, 2.0))
-        assert 0.5 <= ratio <= 2.0
-
-    def test_sobolev_rejects_high_order(self, s3):
-        g = RadialGrid.graded(50, 1.0)
-        with pytest.raises(ValueError):
-            weighted_sobolev_norm(g.x, flat_cone(s3, g), 3, 0.0)
-
-
 class TestHessian:
     def test_constant_function(self, s3):
         g = RadialGrid.graded(200, 1.0, p=1.0)
@@ -257,15 +212,6 @@ class TestHessian:
         hr, hl = radial_hessian(g.x**2 / 2.0, flat_cone(s3, g))
         assert np.max(np.abs(hr - 1.0)) < 1e-8
         assert np.max(np.abs(hl - 1.0)) < 1e-8
-
-    def test_trace_is_laplacian(self, s3):
-        g = RadialGrid.graded(300, 1.0, p=2.0)
-        met = flat_cone(s3, g)
-        f = np.cos(2 * g.x) + g.x
-        hr, hl = radial_hessian(f, met)
-        lap = laplacian(f, met)
-        assert np.max(np.abs(lap - (hr + 3 * hl))) \
-            < 1e-12 * max(1.0, np.max(np.abs(lap)))
 
 
 def test_smooth_cutoff_shape():

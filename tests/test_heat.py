@@ -52,6 +52,14 @@ class TestBesselI:
                 exact = float(mpmath.besseli(nu, z) * mpmath.exp(-z))
                 assert abs(bessel_i(nu, z, scaled=True) - exact) < 1e-12 * exact
 
+    def test_array_matches_scalar_calls_exactly(self):
+        # the large-z expansion stops each entry on its own last term, so
+        # an entry's value does not depend on the rest of the array
+        z = np.array([30.5, 100.0, 1e4])
+        for nu in (0.0, 1.0, 3.5, 12.0):
+            single = [bessel_i(nu, zi, scaled=True) for zi in z]
+            assert bessel_i(nu, z, scaled=True).tolist() == single
+
     def test_branch_boundary_continuity(self):
         for nu in (0.0, 1.0, 3.5, 12.0):
             lo = bessel_i(nu, 30.0 - 1e-9, scaled=True)

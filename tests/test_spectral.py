@@ -13,7 +13,6 @@ from conelab.spectral import (
     EigensolverError,
     RadialOperator,
     assemble_operator,
-    eigen_residual,
     fit_asymptotics,
     indicial_exponents,
     rayleigh_quotient,
@@ -90,7 +89,10 @@ class TestGroundState:
         sigma, u = solve_ground_state(op, dirichlet_outer=True)
         j21 = brentq(lambda z: jv(2.0, z), 4.0, 6.0)
         assert abs(sigma - j21**2) < 1e-3 * j21**2
-        assert eigen_residual(op, sigma, u, dirichlet_outer=True) < 1e-8
+        prob = assemble_operator(op, dirichlet_outer=True)
+        v = u[:-1]  # the outer Dirichlet node is not an unknown
+        r = prob.matvec(v) - sigma * prob.mass * v
+        assert np.linalg.norm(r) / np.linalg.norm(prob.mass * v) < 1e-8
 
     def test_state_is_plain_array(self, s3):
         met = sphere_suspension(s3, 100, radius=1.0, p=2.0)
