@@ -160,10 +160,10 @@ def _validate(cfg: dict) -> None:
     for key, val in cfg["tolerances"].items():
         if val <= 0:
             raise ConfigError(f"tolerances.{key} must be positive")
-    if cfg["grid"]["N"] < 16:
-        raise ConfigError("grid.N must be at least 16")
-    if cfg["convergence"]["base_N"] < 16:
-        raise ConfigError("convergence.base_N must be at least 16")
+    for key in ("grid.N", "convergence.base_N"):
+        section, name = key.split(".")
+        if cfg[section][name] < geometry.MIN_NODES:
+            raise ConfigError(f"{key} must be at least {geometry.MIN_NODES}")
     h = cfg["heat"]
     if not 0 < h["t_min"] <= h["t_max"]:
         raise ConfigError("heat needs 0 < t_min <= t_max")

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
 from . import entropy, link as linkmod, spectral
@@ -121,17 +122,17 @@ def _implicit_bands(grid, coeff, dt, frozen):
     one-sided, so every live row is centered and the matrix fits in
     bandwidth (3, 3).
     """
-    starts, _, w2 = grid._stencils
-    rows = np.arange(grid.N)[:, None]
-    cols = starts[:, None] + np.arange(w2.shape[1])
-    vals = (np.where(frozen[:, None], 0.0, -dt * coeff[:, None] * w2)
-            + (cols == rows))
-    band = 3 + rows - cols  # row of entry (rows, cols) in the banded storage
-    inside = (band >= 0) & (band < 7)
-    if np.any(vals[~inside] != 0.0):
+    image, one_sided = grid._d2_banded
+    if np.any(one_sided & ~frozen):
         raise FlowError("one-sided stencil row outside the frozen band")
-    ab = np.zeros((7, grid.N))
-    ab[band[inside], cols[inside]] = vals[inside]
+    N = grid.N
+    scale = np.zeros(N + 6)
+    scale[3:N + 3] = np.where(frozen, 0.0, -dt * coeff)
+    # entry (k, j) of the storage lies in matrix row j + k - 3, so the k-th
+    # row of the sliding window is the row scale along that diagonal
+    ab = sliding_window_view(scale, N) * image
+    ab += 0.0  # -0.0 -> +0.0, as adding the identity's off-diagonal zeros does
+    ab[3] += 1.0
     return ab
 
 

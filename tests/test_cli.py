@@ -186,7 +186,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("rows", [["x,a,b", "0.5,1.0,0.5"], ["x,a,b"]])
     def test_degenerate_metric_file_is_one_line(self, tmp_path, capsys,
                                                 rows):
-        # one data row is a one-node grid; a header alone is an empty one
+        # one data row is a one-node grid; a header alone is an empty
+        # one; both are rejected on loading, naming the file
         path = tmp_path / "metric.csv"
         path.write_text("\n".join(rows) + "\n")
         args = ["lambda", "--preset", "file", "--set", f"metric.path={path}",
@@ -194,6 +195,7 @@ class TestExitCodes:
         assert main(args) == EXIT_OPERATIONAL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
+        assert str(path) in err[0]
         assert not (tmp_path / "d" / "report.json").exists()
 
     def test_flag_sets_only_its_own_key(self, tmp_path):

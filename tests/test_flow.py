@@ -165,6 +165,32 @@ class TestImplicitBands:
         with pytest.raises(FlowError):
             flow._implicit_bands(g, coeff, 1e-3, frozen)
 
+    def test_cached_layout_checks_each_frozen_mask(self):
+        # the grid caches its band layout on the first call; every later
+        # call must still check its own mask against the one-sided rows
+        g = RadialGrid.graded(40, 1.0, p=2.0)
+        N = g.N
+        D2 = np.column_stack([g.d2(e) for e in np.eye(N)])
+        rng = np.random.default_rng(5)
+        for n_frozen, dt, valid in ((4, 1e-3, True), (2, 3e-4, False),
+                                    (6, 2e-3, True)):
+            coeff = rng.uniform(0.5, 2.0, N)
+            frozen = np.zeros(N, dtype=bool)
+            frozen[:n_frozen] = True
+            frozen[-n_frozen:] = True
+            if not valid:
+                with pytest.raises(FlowError):
+                    flow._implicit_bands(g, coeff, dt, frozen)
+                continue
+            expect = np.eye(N) - dt * coeff[:, None] * D2
+            expect[frozen] = np.eye(N)[frozen]
+            ab = flow._implicit_bands(g, coeff, dt, frozen)
+            dense = np.zeros((N, N))
+            for k in range(7):
+                j = np.arange(max(0, 3 - k), min(N, N + 3 - k))
+                dense[j + k - 3, j] = ab[k, j]
+            assert np.array_equal(dense, expect)
+
 
 class TestFixedPointRuns:
     def test_flat_cone_does_not_drift(self, s3):

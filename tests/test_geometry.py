@@ -42,6 +42,59 @@ def test_graded_grid_construction():
             RadialGrid(x=x, L=1.0)
 
 
+def _fornberg_on_numpy_scalars(xs, x0, m):
+    # the recursion as written on numpy scalars: the bitwise reference
+    npts = len(xs)
+    c = np.zeros((npts, m + 1))
+    c1 = 1.0
+    c4 = xs[0] - x0
+    c[0, 0] = 1.0
+    for i in range(1, npts):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = xs[i] - x0
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, m]
+
+
+@pytest.mark.parametrize("where", ["tip", "interior", "outer"])
+def test_fornberg_weights_are_exact_on_polynomials(where):
+    # 7-node windows of a p = 2 graded grid: one-sided at the tip, centered
+    # in the interior, one-sided at the outer end
+    x = RadialGrid.graded(40, 1.0, p=2.0).x
+    xs, x0 = {"tip": (x[:7], x[0]), "interior": (x[17:24], x[20]),
+              "outer": (x[-7:], x[-1])}[where]
+    for m in range(4):
+        w = geometry.fornberg_weights(xs, x0, m)
+        assert isinstance(w, np.ndarray) and w.dtype == float
+        assert w.shape == (len(xs),)
+        assert np.array_equal(w, _fornberg_on_numpy_scalars(xs, x0, m))
+        for k in range(7):
+            exact = math.perm(k, m) * x0 ** (k - m) if k >= m else 0.0
+            terms = w * xs**k
+            # scaled by the size of the sum, which does not vanish at an
+            # exact zero derivative
+            assert abs(terms.sum() - exact) <= 1e-8 * np.abs(terms).sum()
+
+
+def test_fornberg_weights_reject_underflowing_node_gaps():
+    # the product of six gaps of 1e-60 underflows to zero
+    xs = 1e-60 * np.arange(1.0, 8.0)
+    with pytest.raises(ValueError, match="too close together"):
+        geometry.fornberg_weights(xs, xs[0], 2)
+
+
 def test_metric_validation(s3):
     g = RadialGrid.graded(50, 1.0)
     with pytest.raises(ValueError):
