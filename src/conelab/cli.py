@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import datetime
 import difflib
 import json
@@ -430,14 +431,7 @@ def cmd_flow(cfg: dict) -> dict:
     if fconf.entropy_kind != "none":
         mono = flow.monotonicity_report(
             trajectory, fconf, tol_mono=cfg["tolerances"]["monotonicity"])
-        report["monotonicity"] = {
-            "which": mono.which,
-            "min_successive_diff": mono.min_successive_diff,
-            "passed": mono.passed,
-            "constant": mono.constant,
-            "stationarity_sup": mono.stationarity_sup,
-            "stationarity_ok": mono.stationarity_ok,
-        }
+        report["monotonicity"] = dataclasses.asdict(mono)
         ok = mono.passed and (mono.stationarity_ok is not False)
         if cfg["run"]["svg"]:
             svg_line_plot(os.path.join(output_dir(cfg), "entropy_series.svg"),

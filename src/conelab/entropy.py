@@ -116,11 +116,11 @@ def _newton_el(prob, m, tau, e, u0, mu0):
     """Damped Newton on the EL system with the normalization constraint.
 
     Unknowns (omega, mu); the Jacobian is tridiagonal plus a rank-one border
-    from the constraint row, solved by block elimination with two banded
-    solves.  Steps are shortened to keep omega strictly positive.  The
-    residual of the discrete system bottoms out at a roundoff floor set by
-    the curvature quadrature, so a stalled iterate below _NEWTON_ACCEPT still
-    counts as converged.
+    from the constraint row, solved by block elimination with one banded
+    solve of two right-hand sides.  Steps are shortened to keep omega
+    strictly positive.  The residual of the discrete system bottoms out at a
+    roundoff floor set by the curvature quadrature, so a stalled iterate
+    below _NEWTON_ACCEPT still counts as converged.
     """
     w = prob.mass
     sm = _s_m(m, tau)
@@ -137,8 +137,7 @@ def _newton_el(prob, m, tau, e, u0, mu0):
         bvec = w * u                 # d g1 / d mu
         cvec = 2.0 * sm * w * u      # d g2 / d omega
         try:
-            y1 = solve_banded((1, 1), ab, -g1)
-            y2 = solve_banded((1, 1), ab, -bvec)
+            y1, y2 = solve_banded((1, 1), ab, -np.array([g1, bvec]).T).T
         except np.linalg.LinAlgError:
             return u, mu, res < _NEWTON_ACCEPT
         denom = float(cvec @ y2)

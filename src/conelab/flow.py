@@ -206,9 +206,6 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
 
     cf0 = fitted_cone_factor(initial.b)
     a0, b0 = initial.a, initial.b
-    # outer end: a smooth cap (b -> 0) is slaved like the tip, a genuine
-    # truncation boundary stays pinned at its initial values
-    outer_cap = initial.b[-1] < 1e-2 * initial.b.max()
 
     def slave_bands(a, b):
         # multiplicative slaving to the initial band profile: the excised
@@ -217,7 +214,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         # fixed points and under uniform rescaling
         for u, u0 in ((a, a0), (b, b0)):
             u[:first_live] = u0[:first_live] * (u[first_live] / u0[first_live])
-            if outer_cap:
+            if initial.has_cap:
                 u[last_live + 1:] = u0[last_live + 1:] * (u[last_live] / u0[last_live])
 
     def diagnostics(t, met):

@@ -194,9 +194,9 @@ class RadialMetric:
         return self.link.n + 1
 
     @property
-    def cone_factor(self) -> float:
-        """b/x at the first grid node, standing in for its limit at the tip."""
-        return float(self.b[0] / self.grid.x[0])
+    def has_cap(self) -> bool:
+        """Whether b closes off at the last node, the pole of a smooth cap."""
+        return bool(self.b[-1] < 1e-2 * self.b.max())
 
     def derived(self, build):
         """build(self), computed on the first request and memoized."""
@@ -219,31 +219,15 @@ class RadialMetric:
 
 # -- curvature ----------------------------------------------------------------
 
-def _pole_mask(metric: RadialMetric, rel_tol: float = 5e-2) -> np.ndarray:
-    """Points too close to a smooth zero of b for stable curvature evaluation.
+def _pole_takes_neighbour(metric: RadialMetric, *fields) -> None:
+    """Give the pole node of a capped metric its neighbour's value.
 
-    The conical tip (b ~ cone_factor * x) is NOT masked: its 0/0 limits are
-    numerically benign.  Only caps, where b vanishes away from x = 0, are.
+    b may vanish only there, so quotients by b at that node are 0/0 at
+    roundoff; every other quotient by b is taken as it is.
     """
-    b, x = metric.b, metric.grid.x
-    return (b < rel_tol * b.max()) & (b < 0.5 * metric.cone_factor * x)
-
-
-def _extrapolate_into(x, vals, bad):
-    """Replace vals[bad] by polynomial extrapolation from the good side."""
-    vals = vals.copy()
-    good = ~bad
-    idx_bad = np.where(bad)[0]
-    for i in idx_bad:
-        # nearest block of good points
-        order = np.argsort(np.abs(x[good] - x[i]))[:8]
-        xs = x[good][order]
-        ys = vals[good][order]
-        # degree-5 local fit in a shifted/scaled coordinate for conditioning
-        s = (xs - x[i]) / (np.abs(xs - x[i]).max() + 1e-300)
-        coef = np.polyfit(s, ys, min(5, len(xs) - 1))
-        vals[i] = np.polyval(coef, 0.0)
-    return vals
+    if metric.has_cap:
+        for u in fields:
+            u[-1] = u[-2]
 
 
 def warped_ricci(metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
@@ -258,17 +242,13 @@ def _ricci_pair(metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     kappa = metric.link.scal_F / (n * (n - 1)) if n > 1 else 0.0
     Db = db / a
     D2b = (d2b - db * da / a) / a**2
-    bad = _pole_mask(metric)
-    safe_b = np.where(bad, 1.0, b)
+    safe_b = np.where(b > 0, b, 1.0)
     ric_rad = -n * D2b / safe_b
     if n > 1:
         ric_link = -D2b / safe_b + (n - 1) * (kappa - Db**2) / safe_b**2
     else:
         ric_link = -D2b / safe_b
-    if bad.any():
-        x = metric.grid.x
-        ric_rad = _extrapolate_into(x, ric_rad, bad)
-        ric_link = _extrapolate_into(x, ric_link, bad)
+    _pole_takes_neighbour(metric, ric_rad, ric_link)
     return _read_only(ric_rad), _read_only(ric_link)
 
 
@@ -310,12 +290,9 @@ def radial_hessian(f, metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     df = g.d1(f)
     Df = df / a
     hess_rad = (g.d2(f) - df * da / a) / a**2
-    bad = _pole_mask(metric)
-    safe_b = np.where(bad, 1.0, b)
     Db = db / a
-    hess_link = (Db / safe_b) * Df
-    if bad.any():
-        hess_link = _extrapolate_into(g.x, hess_link, bad)
+    hess_link = (Db / np.where(b > 0, b, 1.0)) * Df
+    _pole_takes_neighbour(metric, hess_link)
     return hess_rad, hess_link
 
 

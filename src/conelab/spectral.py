@@ -134,10 +134,8 @@ def assemble_operator(op: RadialOperator,
     w = volume_form(metric)
     pot = np.zeros(metric.grid.N)
     if op.mode != 0.0:
-        # a machine-zero of b at a cap gets a floor; the huge resulting
-        # diagonal correctly pins nonzero modes to vanish at the pole
-        safe_b = np.maximum(metric.b, 1e-8 * metric.b.max())
-        pot += op.c * op.mode / safe_b**2
+        # b = 0 only at the pole of a cap, whose lumped mass is 0 too
+        pot += op.c * op.mode / np.where(metric.b > 0, metric.b, 1.0)**2
     if op.q != 0.0:
         pot += op.q * geometry.warped_scal(metric)
     diag = diag + pot * w
@@ -169,13 +167,15 @@ def _inverse_iteration(prob: AssembledProblem):
     N = prob.N
     w = prob.mass
     # shift strictly below the spectrum: Gershgorin row bound of the pencil
-    # (valid for any mode potential), capped by the constant's Rayleigh value
+    # (valid for any mode potential) over the rows with mass, capped by the
+    # constant's Rayleigh value
     ones = np.ones(N)
     r0 = rayleigh_quotient(prob, ones)
     absoff = np.zeros(N)
     absoff[:-1] += np.abs(prob.off)
     absoff[1:] += np.abs(prob.off)
-    gersh = float(np.min((prob.diag - absoff) / w))
+    rows = w > 0
+    gersh = float(np.min((prob.diag[rows] - absoff[rows]) / w[rows]))
     lower = min(r0, gersh)
     shift = lower - 0.1 * (abs(lower) + 1.0)
     u = ones / np.sqrt(ones @ (w * ones))
@@ -295,7 +295,8 @@ def fit_asymptotics(u, grid: RadialGrid,
     lo, hi = window
     sel = (x >= lo) & (x <= hi)
     if sel.sum() < 8:
-        raise ValueError("fit window must contain at least 8 grid points")
+        raise ValueError(f"fit window [{lo:.6g}, {hi:.6g}] contains "
+                         f"{sel.sum()} grid points, need at least 8")
     xs, ys = x[sel], vals[sel]
     scale = np.max(np.abs(ys))
     if scale == 0 or np.ptp(ys) <= 1e-13 * scale:

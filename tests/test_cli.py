@@ -206,6 +206,20 @@ class TestExitCodes:
         assert cfg["mu"]["variant"] == "plus"
         assert cfg["nu"]["variant"] == "minus"
 
+    def test_empty_fit_window_is_one_line(self, tmp_path, capsys):
+        # 20 uniform rows: the default tip-fit window [4 x_1, L/10] holds
+        # no node, and the message names the window and its node count
+        path = tmp_path / "metric.csv"
+        path.write_text("x,a,b\n" + "".join(f"{i / 1000!r},1.0,{i / 1000!r}\n"
+                                            for i in range(1, 21)))
+        args = ["lambda", "--preset", "file", "--set", f"metric.path={path}",
+                "--output-dir", "d"]
+        assert main(args) == EXIT_OPERATIONAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("conelab: error: ")
+        assert "[0.004, 0.002]" in err[0] and "0 grid points" in err[0]
+        assert not (tmp_path / "d" / "report.json").exists()
+
     def test_property_failure_still_writes_report(self, tmp_path, capsys):
         args = ["lambda", "--N", "400", "--output-dir", "p",
                 "--set", "tolerances.el_residual=1e-30"]

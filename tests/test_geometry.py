@@ -1,12 +1,14 @@
 """Warped-product curvature and volume measures."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from conelab import geometry, link as linkmod
+from conelab import entropy, flow, geometry, link as linkmod
 from conelab.geometry import (
     RadialGrid,
     RadialMetric,
@@ -160,6 +162,11 @@ class TestCurvature:
         assert np.max(np.abs(rr[inner] - 3.0)) < 1e-6
         assert np.max(np.abs(rl[inner] - 3.0)) < 1e-6
         assert np.max(np.abs(sc[inner] - 12.0)) < 1e-5
+        # next to the cap the quotients by b are taken as they are, and the
+        # pole node takes its neighbour's value
+        assert np.max(np.abs(rr[-10:] - 3.0)) < 1e-8
+        assert np.max(np.abs(rl[-10:] - 3.0)) < 1e-8
+        assert met.has_cap
 
     def test_flat_cone_curvature_vanishes_to_roundoff(self, s3):
         # 1/h^2 roundoff amplification sets the floor; at this resolution
@@ -265,6 +272,32 @@ class TestHessian:
         hr, hl = radial_hessian(g.x**2 / 2.0, flat_cone(s3, g))
         assert np.max(np.abs(hr - 1.0)) < 1e-8
         assert np.max(np.abs(hl - 1.0)) < 1e-8
+
+
+def test_exact_zero_of_b_at_the_cap(s3):
+    # a cap whose pole value of b is exactly 0, as a metric file may give
+    # it, runs every layer without a numpy warning
+    base = sphere_suspension(s3, 400, radius=math.sqrt(3.0), p=1.0)
+    b = base.b.copy()
+    b[-1] = 0.0
+    met = replace(base, b=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rr, rl = warped_ricci(met)
+        hr, hl = radial_hessian(np.cos(met.grid.x), met)
+        for u in (rr, rl, hr, hl):
+            assert np.all(np.isfinite(u))
+        # the quotients by b at the pole node are its neighbour's
+        for u in (rr, rl, hl):
+            assert u[-1] == u[-2]
+        lam = entropy.compute_lambda(met).value
+        assert abs(lam / entropy.compute_lambda(base).value - 1.0) < 1e-12
+        cfg = flow.FlowConfig(t_end=0.002, normalization="shrink",
+                              entropy_kind="mu_minus", sample_period=0.001)
+        traj = flow.run_flow(met, cfg)
+    assert len(traj) == 3
+    assert all(np.isfinite(s.entropy_value) for s in traj)
+    assert met.has_cap and not flat_cone(s3, base.grid).has_cap
 
 
 def test_smooth_cutoff_shape():

@@ -68,6 +68,16 @@ class TestAssembly:
             u = rng.standard_normal(300) ** 2 + 0.1
             assert rayleigh_quotient(prob, u) >= scal_min - 1e-8
 
+    def test_mode_potential_at_the_tip(self, s3):
+        # x_1 = 1.25e-10: the potential lam_F / b^2 is exact down to the
+        # first node; no floor on b may clip the conical tip
+        g = RadialGrid.graded(2000, 1.0, p=3.0)
+        met = flat_cone(s3, g)
+        diag = [assemble_operator(RadialOperator(met, mode=mode, c=1.0)).diag
+                for mode in (3.0, 0.0)]
+        pot = (diag[0] - diag[1]) / geometry.volume_form(met)
+        assert np.max(np.abs(pot * met.b**2 / 3.0 - 1.0)) < 1e-8
+
     def test_low_dimension_refuses_potential(self):
         s2 = linkmod.sphere_link(2, 4)
         g = RadialGrid.graded(100, 1.0)
