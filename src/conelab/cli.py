@@ -170,6 +170,8 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("heat needs 0 < t_min <= t_max")
     if h["n_samples"] < 1:
         raise ConfigError("heat.n_samples must be at least 1")
+    if not 0 < cfg["nu"]["tau_min"] <= cfg["nu"]["tau_max"]:
+        raise ConfigError("nu needs 0 < tau_min <= tau_max")
     if cfg["metric"]["path"] and cfg["metric"]["preset"] not in ("", "file"):
         raise ConfigError(
             "metric.path conflicts with metric.preset; use preset = file")
@@ -583,7 +585,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg["run"]["subcommand"] = args.subcommand
         report = {**_base_report(cfg, args.subcommand),
                   **_RUNNERS[args.subcommand](cfg)}
-    except (geometry.ConelabError, OSError, ValueError) as exc:
+    except (geometry.ConelabError, OSError, ValueError, ArithmeticError,
+            MemoryError) as exc:
         print(f"conelab: error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
 

@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from . import geometry
+from . import geometry, spectral
 from .geometry import ConelabError, RadialMetric, volume_form
-from .spectral import LambdaProblem, lambda_problem
+from .spectral import LambdaProblem
 
 
 class NewtonError(ConelabError):
@@ -51,7 +51,7 @@ def _s_m(m: int, tau: float) -> float:
 def compute_lambda(metric: RadialMetric) -> LambdaProblem:
     """Ground state of 4*Lap + scal with unit L2 constraint, and its
     residuals: the metric's memoized lambda problem."""
-    return lambda_problem(metric)
+    return metric.derived(spectral._lambda_problem)
 
 
 # -- the W entropies -------------------------------------------------------------
@@ -72,7 +72,7 @@ def evaluate_w(metric: RadialMetric, omega, tau: float, variant: str = "minus",
     e = _sign(variant)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    prob = lambda_problem(metric).prob
+    prob = compute_lambda(metric).prob
     w = prob.mass
     u = np.asarray(omega, dtype=float)
     if np.any(u <= 0):
@@ -176,7 +176,7 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
     if tau <= 0:
         raise ValueError("tau must be positive")
     m = metric.m
-    lp = lambda_problem(metric)
+    lp = compute_lambda(metric)
     w = lp.prob.mass
     sm = _s_m(m, tau)
 
@@ -230,8 +230,8 @@ class NuReport:
     mu_profile: np.ndarray = field(repr=False)
 
 
-# points of the coarse log-tau scan, and the golden-section stopping width
-# in log tau
+# points of the coarse log-tau scan, and the bounded minimizer's stopping
+# width in log tau
 _N_SCAN = 25
 _LOG_TAU_TOL = 1e-9
 
@@ -243,11 +243,11 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     Requires lambda(g) > 0 for the shrinker variant and lambda(g) < 0 for
     the expander variant; otherwise the optimum over tau escapes to the
     boundary and the quantity is not defined.  Coarse scan on a log-tau
-    grid, then golden-section refinement, warm-starting each solve from the
-    neighboring optimizer.
+    grid, then refinement by scipy's bounded scalar minimizer (the one the
+    tip fits use), warm-starting each solve from the neighboring optimizer.
     """
     sign = _sign(variant)  # minimize sign * mu
-    lam = lambda_problem(metric).value
+    lam = compute_lambda(metric).value
     if variant == "minus" and lam <= 0:
         raise ValueError("nu_minus requires lambda(g) > 0")
     if variant == "plus" and lam >= 0:
@@ -273,21 +273,11 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     else:
         lo, hi = lts[k - 1], lts[k + 1]
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = mu_at(c), mu_at(d)
-    while hi - lo > _LOG_TAU_TOL:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = mu_at(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = mu_at(d)
-    lt_star = c if fc < fd else d
-    best = cache[lt_star]
+    # imported on first use: scipy.optimize costs about 20 MB of memory
+    from scipy.optimize import minimize_scalar
+    res = minimize_scalar(mu_at, bounds=(lo, hi), method="bounded",
+                          options={"xatol": _LOG_TAU_TOL})
+    best = cache[res.x]
     order = np.argsort(list(cache.keys()))
     taus = np.exp(np.array(list(cache.keys()))[order])
     mus = np.array([cache[k].value for k in cache])[order]

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
-from . import entropy, link as linkmod, spectral
+from . import entropy, geometry, link as linkmod, spectral
 from .geometry import ConelabError, RadialMetric, warped_ricci
 
 
@@ -93,12 +93,11 @@ def deturck_vector_field(metric: RadialMetric,
     n = metric.link.n
     da, db, _, _ = metric.jet
     dra, drb, _, _ = reference.jet
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = (da / a - dra / ra) / a**2 + n * (rb * drb / (ra**2 * b**2)
-                                              - db / (a**2 * b))
-    # b = 0 exactly at a pole node; w there is never used (the node sits
-    # inside a slaved band) but must not poison the array
-    return np.where(np.isfinite(w), w, 0.0)
+    safe_b = np.where(b > 0, b, 1.0)
+    w = (da / a - dra / ra) / a**2 + n * (rb * drb / (ra**2 * safe_b**2)
+                                          - db / (a**2 * safe_b))
+    geometry._pole_takes_neighbour(metric, w)
+    return w
 
 
 def flow_rhs(metric: RadialMetric,
@@ -196,13 +195,14 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
 
     metric = initial
     # cone factor as the fitted limit of b/x at x -> 0, extrapolated
-    # linearly from the first live nodes (the slaved band is excluded)
+    # linearly from the first live nodes (the slaved band is excluded); the
+    # nodes are fixed, so the least-squares intercept is one row applied to b
     fit_sl = slice(first_live, min(first_live + 8, last_live + 1))
     x_fit = grid.x[fit_sl]
+    intercept_row = np.linalg.pinv(np.vander(x_fit, 2))[1] / x_fit
 
     def fitted_cone_factor(b):
-        slope, intercept = np.polyfit(x_fit, b[fit_sl] / x_fit, 1)
-        return float(intercept)
+        return float(intercept_row @ b[fit_sl])
 
     cf0 = fitted_cone_factor(initial.b)
     a0, b0 = initial.a, initial.b

@@ -261,16 +261,13 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
     remaining sliver [0, sigma_min] contributes sigma_min * f since
     H(sigma) -> Id.
     """
-    gn, gw = np.polynomial.legendre.leggauss(quad_pts)
+    edges = t * 10.0 ** -np.linspace(8.0, 0.0, 17)
+    sigmas, weights = _panel_gauss(edges, quad_pts)
     result = np.zeros(grid.N)
-    edges = t * 10.0 ** (-np.linspace(0.0, 8.0, 17))
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        for gnode, gweight in zip(gn, gw):
-            sigma = mid + half * gnode
-            result += half * gweight * heat_apply(
-                link, sigma, f, grid, mode=mode, quad_pts=quad_pts)
-    result += edges[-1] * (f(grid.x) if callable(f) else f)
+    for sigma, weight in zip(sigmas, weights):
+        result += weight * heat_apply(link, sigma, f, grid, mode=mode,
+                                      quad_pts=quad_pts)
+    result += edges[0] * (f(grid.x) if callable(f) else f)
     return result
 
 

@@ -238,11 +238,6 @@ class LambdaProblem:
     constraint_residual: float
 
 
-def lambda_problem(metric: RadialMetric) -> LambdaProblem:
-    """The lambda problem of the metric, assembled and solved once."""
-    return metric.derived(_lambda_problem)
-
-
 def _lambda_problem(metric: RadialMetric) -> LambdaProblem:
     prob = assemble_operator(RadialOperator(metric, q=1.0, c=4.0))
     value, omega = _inverse_iteration(prob)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conelab import entropy, flow, geometry, spectral
+from conelab import cli, entropy, flow, geometry, spectral
 from conelab.cli import (
     ConfigError,
     EXIT_OK,
@@ -151,10 +151,13 @@ class TestExitCodes:
         ["mu", "--N", "200", "--variant", "foo"],
         ["nu", "--preset", "sphere_suspension", "--N", "200",
          "--set", "nu.variant=foo"],
+        ["mu", "--preset", "sphere_suspension", "--N", "200",
+         "--set", "mu.tau=1e-300"],
     ])
     def test_solver_failure_is_one_line(self, tmp_path, capsys, args):
-        # a Newton failure on the flat cone's roundoff-level curvature, and
-        # an unknown W variant, end in exit 1 and one message, no traceback
+        # a Newton failure on the flat cone's roundoff-level curvature, an
+        # unknown W variant, and an overflow of (4 pi tau)^{-m/2} end in
+        # exit 1 and one message, no traceback
         assert main([*args, "--output-dir", "x"]) == EXIT_OPERATIONAL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
@@ -174,6 +177,10 @@ class TestExitCodes:
         ["heat-check", "--set", "heat.n_samples=0"],
         ["convergence", "--set", "convergence.base_N=0"],
         ["convergence", "--set", "convergence.base_N=-3"],
+        ["nu", "--preset", "sphere_suspension", "--N", "200",
+         "--set", "nu.tau_min=10", "--set", "nu.tau_max=0.01"],
+        ["nu", "--preset", "sphere_suspension", "--N", "200",
+         "--set", "nu.tau_min=0"],
     ])
     def test_usage_error_is_one_line(self, tmp_path, capsys, args):
         # flags are --set shorthands: validated like the config, and a
@@ -219,6 +226,17 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
         assert "[0.004, 0.002]" in err[0] and "0 grid points" in err[0]
         assert not (tmp_path / "d" / "report.json").exists()
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate; raised directly, because whether a
+        # huge request fails at once depends on the kernel's overcommit policy
+        def too_large(cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        monkeypatch.setattr(cli, "build_metric", too_large)
+        assert main(["lambda", "--output-dir", "m"]) == EXIT_OPERATIONAL
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["conelab: error: Unable to allocate 7.28 TiB"]
+        assert not (tmp_path / "m").exists()
 
     def test_property_failure_still_writes_report(self, tmp_path, capsys):
         args = ["lambda", "--N", "400", "--output-dir", "p",

@@ -72,12 +72,12 @@ class TestLambda:
         # compute_lambda hands out the memoized lambda problem itself
         met = geometry.sphere_suspension(s3, 200, radius=1.0, p=2.0)
         lam = compute_lambda(met)
-        assert lam is spectral.lambda_problem(met)
+        assert lam is compute_lambda(met)
         assert type(lam.omega) is np.ndarray
         assert type(compute_mu(met, 0.5).omega) is np.ndarray
 
     def test_functional_matches_report(self, s4_fine, s4_lambda):
-        prob = spectral.lambda_problem(s4_fine).prob
+        prob = compute_lambda(s4_fine).prob
         val = spectral.rayleigh_quotient(prob, s4_lambda.omega)
         assert abs(val - s4_lambda.value) < 1e-12 * abs(s4_lambda.value)
 

@@ -290,6 +290,8 @@ def test_exact_zero_of_b_at_the_cap(s3):
         # the quotients by b at the pole node are its neighbour's
         for u in (rr, rl, hl):
             assert u[-1] == u[-2]
+        w = flow.deturck_vector_field(met.scaled(2.0), met)
+        assert np.all(np.isfinite(w)) and w[-1] == w[-2]
         lam = entropy.compute_lambda(met).value
         assert abs(lam / entropy.compute_lambda(base).value - 1.0) < 1e-12
         cfg = flow.FlowConfig(t_end=0.002, normalization="shrink",
