@@ -161,15 +161,15 @@ def _validate(cfg: dict) -> None:
     for key, val in cfg["tolerances"].items():
         if val <= 0:
             raise ConfigError(f"tolerances.{key} must be positive")
-    for key in ("grid.N", "convergence.base_N"):
+    for key, least in (("grid.N", geometry.MIN_NODES),
+                       ("convergence.base_N", geometry.MIN_NODES),
+                       ("heat.n_samples", 1), ("flow.samples", 1)):
         section, name = key.split(".")
-        if cfg[section][name] < geometry.MIN_NODES:
-            raise ConfigError(f"{key} must be at least {geometry.MIN_NODES}")
+        if cfg[section][name] < least:
+            raise ConfigError(f"{key} must be at least {least}")
     h = cfg["heat"]
     if not 0 < h["t_min"] <= h["t_max"]:
         raise ConfigError("heat needs 0 < t_min <= t_max")
-    if h["n_samples"] < 1:
-        raise ConfigError("heat.n_samples must be at least 1")
     if not 0 < cfg["nu"]["tau_min"] <= cfg["nu"]["tau_max"]:
         raise ConfigError("nu needs 0 < tau_min <= tau_max")
     if cfg["metric"]["path"] and cfg["metric"]["preset"] not in ("", "file"):
@@ -421,7 +421,7 @@ def cmd_flow(cfg: dict) -> dict:
     fconf = flow.FlowConfig(
         t_end=f["t_end"], normalization=f["normalization"],
         reference=reference, cfl=f["cfl"],
-        sample_period=f["t_end"] / max(f["samples"], 1),
+        sample_period=f["t_end"] / f["samples"],
         entropy_kind=f["entropy"], cone_drift_bound=f["drift_bound"])
     trajectory = flow.run_flow(metric, fconf)
     report = {}

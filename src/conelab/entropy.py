@@ -45,7 +45,14 @@ class NewtonError(ConelabError):
 
 
 def _s_m(m: int, tau: float) -> float:
-    return (4.0 * math.pi * tau) ** (-m / 2.0)
+    try:
+        sm = (4.0 * math.pi * tau) ** (-m / 2.0)
+    except OverflowError:
+        sm = math.inf
+    if not (math.isfinite(sm) and sm > 0.0):
+        raise ValueError(f"tau = {tau!r} out of range: (4 pi tau)^(-m/2) at "
+                         f"m = {m} is not a finite positive float")
+    return sm
 
 
 def compute_lambda(metric: RadialMetric) -> LambdaProblem:

@@ -175,6 +175,24 @@ def _gauss_rule_cached(key):
     return _panel_gauss(np.concatenate([[0.0], x_tuple]), npts)
 
 
+def _source_on_rule(u, grid: RadialGrid, n: int, quad_pts: int):
+    """u on the grid, the y-rule's nodes y, and u(y) y^n times its weights.
+
+    The y-rule has quad_pts Gauss nodes on every panel between 0 and the
+    grid nodes.
+    """
+    x = grid.x
+    xq, wq = _gauss_rule_cached((tuple(x), quad_pts))
+    if callable(u):
+        vals = u(x)
+        uq = u(xq)
+    else:
+        from scipy.interpolate import CubicSpline
+        vals = np.asarray(u, dtype=float)
+        uq = CubicSpline(x, vals, extrapolate=True)(xq)
+    return vals, xq, uq * xq**n * wq
+
+
 def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
                mode: float = 0.0, quad_pts: int = 4) -> np.ndarray:
     """Apply the mode heat semigroup: integral of h_nu(t,x,y) u(y) y^n dy.
@@ -203,20 +221,12 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
     n = link.n
     nu = nu_from_mode(n, mode)
     x = grid.x
-    xq, wq = _gauss_rule_cached((tuple(x), quad_pts))
-    if callable(u):
-        vals = u(x)
-        uq = u(xq)
-    else:
-        from scipy.interpolate import CubicSpline
-        vals = np.asarray(u, dtype=float)
-        uq = CubicSpline(x, vals, extrapolate=True)(xq)
+    vals, xq, g = _source_on_rule(u, grid, n, quad_pts)
     # warn if u carries mass the truncated quadrature domain cannot absorb
     edge = np.abs(vals[-1]) * grid.L**n
     if edge > 1e-12 * max(1.0, np.max(np.abs(vals))):
         warnings.warn("field has mass near the outer truncation radius",
                       stacklevel=2)
-    g = uq * xq**n * wq
     # split_i is the first node y with z = x_i y / 2t past the series range
     split = np.searchsorted(xq, 2.0 * t * _SERIES_MAX_Z / x, side="right")
 
@@ -252,23 +262,79 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
     return far + np.bincount(i, weights=near, minlength=x.size)
 
 
+def _gauss_jacobi(npts: int, beta: float):
+    """Gauss nodes and weights on [0, 1] for the weight s^beta, beta > -1.
+
+    Golub-Welsch on the three-term recurrence of the Jacobi polynomials
+    P^(0, beta)(2s - 1), solved by numpy's eigh.  scipy.special.roots_jacobi
+    gives the same rule, but its banded eigensolver starts scipy's own BLAS,
+    which added 0.8 MB to the peak memory of a `mapping` run.
+    """
+    k = np.arange(1, npts)
+    c = 2.0 * k + beta
+    diag = 0.5 + 0.5 * np.concatenate([[beta / (beta + 2.0)],
+                                       beta**2 / (c * (c + 2.0))])
+    off = k * (k + beta) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
+    s, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return s, vecs[0] ** 2 / (beta + 1.0)
+
+
 def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
                   mode: float = 0.0, quad_pts: int = 4) -> np.ndarray:
-    """Time convolution integral of the heat semigroup against a fixed source.
+    """Time convolution integral_0^t H(sigma) f dsigma against a fixed source.
 
-    Composite Gauss quadrature on geometrically graded panels in the
-    semigroup time, two per decade down to sigma_min = t 10^{-8}; the
-    remaining sliver [0, sigma_min] contributes sigma_min * f since
-    H(sigma) -> Id.
+    Computed as G f minus the tail integral_t^inf H(sigma) f dsigma.  G, the
+    Green operator integral_0^inf H(sigma) dsigma, has the kernel
+    (x y)^{-(n-1)/2} (x_< / x_>)^nu / (2 nu), the s -> 0 limit of
+    I_nu(s x_<) K_nu(s x_>) (DLMF 10.30); it is applied on `heat_apply`'s
+    y-rule, the only thing quad_pts sets, by two cumulative sums, and the
+    kink at y = x lies on a panel edge.  In s = t/sigma in (0, 1] the tail's
+    integrand is s^{nu-1} times an analytic function: a Gauss-Jacobi rule
+    with n = max(8, ceil(2 L / sqrt t)) nodes takes it, one `heat_apply` at
+    sigma = t/s >= t per node.  For nu = 0, where G is infinite, 1/(2 sigma)
+    is subtracted on sigma > t: G_0(x, y) = -log max(x, y) + log 2
+    - gamma_E/2 + (1/2) log t, and the tail integrand h_0 - 1/(2 sigma) is
+    analytic at s = 0, so the rule is Gauss-Legendre.
+
+    G f and the tail are both O(integral f) while their difference is O(t):
+    about log10(L^2/t) digits cancel, and n grows like L/sqrt t, so for
+    t << L^2 (below about L^2/200 at L = 5) this is slower than the
+    composite rule in sigma it replaced.  `mapping_exponent_report` calls it
+    at t = L^2.
     """
-    edges = t * 10.0 ** -np.linspace(8.0, 0.0, 17)
-    sigmas, weights = _panel_gauss(edges, quad_pts)
-    result = np.zeros(grid.N)
-    for sigma, weight in zip(sigmas, weights):
-        result += weight * heat_apply(link, sigma, f, grid, mode=mode,
-                                      quad_pts=quad_pts)
-    result += edges[0] * (f(grid.x) if callable(f) else f)
-    return result
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError("time t must be finite and positive")
+    n = link.n
+    nu = nu_from_mode(n, mode)
+    x = grid.x
+    _, xq, g = _source_on_rule(f, grid, n, quad_pts)
+    below = np.searchsorted(xq, x)  # the nodes y < x_i are xq[:below[i]]
+    nodes = max(8, math.ceil(2.0 * grid.L / math.sqrt(t)))
+
+    def lower(v):  # sum of v over the nodes y < x_i
+        return np.concatenate([[0.0], np.cumsum(v)])[below]
+
+    def upper(v):  # sum of v over the nodes y > x_i
+        return np.concatenate([np.cumsum(v[::-1])[::-1], [0.0]])[below]
+
+    if nu > 0.0:
+        gh = g * xq ** (-(n - 1) / 2.0)
+        green = (x ** (-(n - 1) / 2.0) / (2.0 * nu)
+                 * (x**-nu * lower(xq**nu * gh) + x**nu * upper(xq**-nu * gh)))
+        mass, beta = 0.0, nu - 1.0
+    else:
+        mass, beta = g.sum(), 0.0
+        green = ((math.log(2.0) - 0.5 * np.euler_gamma + 0.5 * math.log(t))
+                 * mass - np.log(x) * lower(g) - upper(np.log(xq) * g))
+    # the tail in s = t/sigma, integral_0^1 (t/s^2) [H(t/s) f - s mass/2t] ds,
+    # by a rule exact on s^beta times polynomials of degree < 2 nodes
+    s, w = _gauss_jacobi(nodes, beta)
+    w = w * s**-beta
+    tail = sum(wi * t / si**2
+               * (heat_apply(link, t / si, f, grid, mode=mode,
+                             quad_pts=quad_pts) - si / (2.0 * t) * mass)
+               for si, wi in zip(s, w))
+    return green - tail
 
 
 def kernel_mass(n: int, t: float, x: float) -> float:
@@ -342,11 +408,13 @@ def classify_tip_behavior(x: np.ndarray, u: np.ndarray) -> dict:
 def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     """Fitted tip exponents of the convolved and instantaneous heat operator.
 
-    Applies H (time convolution up to t = 1) and H(t) to x^{-N} times a
-    smooth cutoff on the exact cone and compares the exponent fitted on
-    x in [0.012, 0.1] against the predicted table (bounded for N < 2, log
-    for N = 2, -N+2 for N > 2, within 0.1) and the fitted temporal slope of
-    sup|H(t)f| against -N/2 (within 0.15).
+    Applies H (time convolution up to t = 1, `heat_convolve`'s Green
+    operator minus its long-time tail) and H(t) to x^{-N} times a smooth
+    cutoff on the exact cone, both with 2 Gauss points per panel in the
+    spatial integral (quad_pts = 2 sets nothing else), and compares the
+    exponent fitted on x in [0.012, 0.1] against the predicted table
+    (bounded for N < 2, log for N = 2, -N+2 for N > 2, within 0.1) and the
+    fitted temporal slope of sup|H(t)f| against -N/2 (within 0.15).
     """
     n = link.n
     if not (0 < N_exp <= n):

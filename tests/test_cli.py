@@ -190,6 +190,31 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
         assert not (tmp_path / "u").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["mu", "--set", "mu.tau=1e-300"],
+        ["nu", "--set", "nu.tau_min=1e-300"],
+    ])
+    def test_tau_out_of_range_is_one_line(self, tmp_path, capsys, args):
+        # (4 pi tau)^{-m/2} overflows a float: the message names tau, not
+        # the errno tuple of Python's OverflowError
+        args = [*args, "--preset", "sphere_suspension", "--N", "200",
+                "--output-dir", "t"]
+        assert main(args) == EXIT_OPERATIONAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("conelab: error: ")
+        assert "tau" in err[0] and "(34," not in err[0]
+        assert not (tmp_path / "t" / "report.json").exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_flow_samples_below_one_rejected(self, tmp_path, capsys,
+                                             samples):
+        args = ["flow", "--preset", "sphere_suspension", "--N", "200",
+                "--set", f"flow.samples={samples}", "--output-dir", "s"]
+        assert main(args) == EXIT_OPERATIONAL
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["conelab: error: flow.samples must be at least 1"]
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("rows", [["x,a,b", "0.5,1.0,0.5"], ["x,a,b"]])
     def test_degenerate_metric_file_is_one_line(self, tmp_path, capsys,
                                                 rows):

@@ -211,6 +211,18 @@ class TestFixedPointRuns:
                     np.max(np.abs(traj[-1].metric.b - met.b)))
         assert drift / cfg.t_end < 1e-8
 
+    @pytest.mark.parametrize("N", [300, 600, 800, 1200])
+    def test_round_sphere_shrink_fixed_point_on_fine_grids(self, s3, N):
+        # Ric = g at radius sqrt(3), so the shrink flow keeps the round S^4
+        # (the sphere has a smooth cap at both poles, where b vanishes)
+        met = sphere_suspension(s3, N, radius=math.sqrt(3.0), p=1.0)
+        cfg = FlowConfig(t_end=0.02, normalization="shrink",
+                         entropy_kind="none")
+        final = run_flow(met, cfg)[-1].metric
+        for u, u0 in ((final.a, met.a), (final.b, met.b)):
+            drift = np.max(np.abs(u - u0)) / np.max(np.abs(u0))
+            assert drift <= 1e-8 * cfg.t_end
+
 
 class TestMonotonicity:
     def test_perturbed_cone_lambda_increases(self, s3):

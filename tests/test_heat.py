@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.special import ive, jv
+from scipy.special import ive, jv, roots_jacobi
 
 from conelab import geometry, heat, link as linkmod
 from conelab.geometry import RadialGrid
@@ -277,3 +277,75 @@ def test_heat_convolve_resolvent_identity(s3):
     ratio = np.mean(conv[sel] / phi(grid.x)[sel])
     assert abs(ratio - expect) < 0.02 * expect
 
+
+@pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0, 2.3])
+def test_gauss_jacobi_rule_matches_scipy(beta):
+    """The Golub-Welsch rule for the weight s^beta on [0, 1] is scipy's
+    Gauss-Jacobi rule for (1-x)^0 (1+x)^beta mapped from [-1, 1]."""
+    for npts in (8, 15, 45):
+        s, w = heat._gauss_jacobi(npts, beta)
+        x, wx = roots_jacobi(npts, 0.0, beta)
+        assert np.max(np.abs(s - 0.5 * (1.0 + x))) <= 1e-14
+        assert np.max(np.abs(w / (wx * 0.5 ** (beta + 1.0)) - 1.0)) <= 1e-10
+
+
+def _composite_sigma_convolution(lk, t, sources, grid, rows):
+    """The composite rule in sigma that heat_convolve used before its Green
+    operator form, with 8 points per panel: Gauss-Legendre panels two per
+    decade over [1e-8 t, t], plus 1e-8 t f for the sliver below, where
+    H(sigma) -> Id.  The spatial sum is the kernel on heat_apply's 8-point
+    y-rule over the Gaussian band (x-y)^2/4sigma <= 41, which heat_apply
+    reproduces to 1e-13 (test_matches_dense_banded_kernel); it runs on the
+    grid rows `rows` only, and every source of one link shares the kernel."""
+    n = lk.n
+    nu = nu_from_mode(n, 0.0)
+    sigmas, weights = heat._panel_gauss(
+        t * 10.0 ** -np.linspace(8.0, 0.0, 17), 8)
+    y, wy = heat._gauss_rule_cached((tuple(grid.x), 8))
+    g = np.column_stack([f(y) * y**n * wy for f in sources])
+    keep = np.any(g != 0.0, axis=1)
+    X, Y = np.broadcast_arrays(grid.x[rows][:, None], y[keep][None, :])
+    out = 1e-8 * t * np.column_stack([f(grid.x[rows]) for f in sources])
+    for sigma, weight in zip(sigmas, weights):
+        band = (X - Y) ** 2 <= 4.0 * sigma * 41.0
+        kern = np.zeros(X.shape)
+        kern[band] = cone_kernel_mode(n, nu, sigma, X[band], Y[band])
+        out += weight * (kern @ g[keep])
+    return out
+
+
+@pytest.mark.parametrize("name, exponents", [
+    ("S1", (0.5, 1.0)), ("S2", (1.0, 1.5, 2.0)), ("S3", (1.0, 2.0, 2.5, 3.0))],
+    ids=["S1", "S2", "S3"])
+def test_heat_convolve_matches_composite_sigma_rule(name, exponents):
+    """The Green operator minus the long-time tail reproduces the composite
+    rule in sigma at 8 points per panel on mapping_exponent_report's inputs,
+    x^{-N} times a cutoff on the 800-point p = 2 grid at t = 1, with
+    mapping's 2-point y-rule, to 1e-6 over the fit window; the S1 link
+    checks the nu = 0 form."""
+    lk = linkmod.get_link(name)
+    grid = RadialGrid.graded(800, 1.0, p=2.0)
+    window = np.flatnonzero((grid.x >= 0.012) & (grid.x <= 0.1))
+    rows = window[np.linspace(0, window.size - 1, 8).astype(int)]
+    sources = [lambda y, N=N: y ** (-N) * geometry.smooth_cutoff(y, 0.25, 0.5)
+               for N in exponents]
+    ref = _composite_sigma_convolution(lk, 1.0, sources, grid, rows)
+    for f, expect in zip(sources, ref.T):
+        conv = heat_convolve(lk, 1.0, f, grid, quad_pts=2)[rows]
+        assert np.max(np.abs(conv - expect) / np.abs(expect)) <= 1e-6
+
+
+@pytest.mark.parametrize("ratio", [50, 500])
+@pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+def test_heat_convolve_tail_nodes_follow_L2_over_t(name, ratio):
+    """For t << L^2 the tail needs more nodes (8 are off by 1e-3 at
+    L^2/t = 50): a smooth source on [0, 1] against the composite rule in
+    sigma, at t = L^2/50 and L^2/500."""
+    lk = linkmod.get_link(name)
+    grid = RadialGrid.graded(200, 1.0, p=1.0)
+    f = lambda y: (1.0 + np.cos(7.0 * y)) * geometry.smooth_cutoff(y, 0.7, 0.9)
+    rows = np.arange(0, grid.N, 10)
+    t = 1.0 / ratio
+    ref = _composite_sigma_convolution(lk, t, [f], grid, rows)[:, 0]
+    conv = heat_convolve(lk, t, f, grid)[rows]
+    assert np.max(np.abs(conv - ref)) <= 1e-6 * np.max(np.abs(ref))
