@@ -19,7 +19,6 @@ from .geometry import (
     flat_cone,
     perturbed_cone,
     sphere_suspension,
-    total_volume,
     volume_form,
     warped_ricci,
     warped_scal,
@@ -59,7 +58,7 @@ __all__ = [
     "LinkData", "SpectrumTruncationError", "check_admissibility_gap",
     "check_tangential_stability", "get_link", "parse_link_file", "sphere_link",
     "ConelabError", "RadialGrid", "RadialMetric", "flat_cone",
-    "perturbed_cone", "sphere_suspension", "total_volume", "volume_form",
+    "perturbed_cone", "sphere_suspension", "volume_form",
     "warped_ricci", "warped_scal",
     "EigensolverError", "RadialOperator", "fit_asymptotics",
     "indicial_exponents", "solve_ground_state",

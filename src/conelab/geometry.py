@@ -275,10 +275,6 @@ def volume_form(metric: RadialMetric) -> np.ndarray:
     return w
 
 
-def total_volume(metric: RadialMetric) -> float:
-    return float(volume_form(metric).sum())
-
-
 def radial_hessian(f, metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal Hessian components of a radial function.
 

@@ -15,6 +15,15 @@ exp(z - (x^2+y^2)/4t) = exp(-(x-y)^2/4t).
 the series factorizes and is summed by prefix sums, and above it the kernel
 is evaluated on each row's Gaussian band only; both agree with the kernel
 above to roundoff.
+
+`heat_sup` returns max|heat_apply| bit for bit without every near band.
+On z > 30, e^{-z} I_nu(z) sqrt(2 pi z) <= 1.01 for every nu >= 0 (it is 1
+for nu >= 1/2 and 1.00425 for nu = 0, at z = 30), and the Gaussian factor
+is at most 1, so a row's near sum is at most 1.01 x^{-n/2} / (2 sqrt(pi t))
+times the sum of y^{-n/2} |g| over its band, with g the weighted source.
+Every row's far field is summed; a row evaluates its near band only if its
+|far field| plus that bound reaches the largest |value| among the rows
+that have no near band.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ from .spectral import fit_power_model
 
 _SERIES_MAX_Z = 30.0
 _SERIES_TERMS = 90
+# bounds e^{-z} I_nu(z) sqrt(2 pi z) on z > 30 for every nu >= 0, with room
+# for roundoff: I_nu falls as nu grows, and the sup is 1.00425, at nu = 0
+_BIGZ_SUP = 1.01
 _DEBYE_ORDER = 10
 
 
@@ -84,14 +96,14 @@ def _bessel_i_bigz_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     """e^{-z} I_nu(z) by the fixed-order large-z expansion (needs 4 nu^2 <~ z)."""
     total = np.ones_like(z)
     term = np.ones_like(z)
-    live = np.arange(z.size)  # entries whose last term was still >= 1e-17
+    live = np.ones(z.shape, dtype=bool)  # last term was still >= 1e-17
     fournu2 = 4.0 * nu * nu
     for k in range(1, 30):
-        term = term * (-(fournu2 - (2 * k - 1) ** 2) / (8.0 * k * z[live]))
-        total[live] += term
-        keep = np.abs(term) >= 1e-17
-        live, term = live[keep], term[keep]
-        if not live.size:
+        term = np.where(
+            live, term * (-(fournu2 - (2 * k - 1) ** 2) / (8.0 * k * z)), 0.0)
+        total += term
+        live &= np.abs(term) >= 1e-17
+        if not live.any():
             break
     return total / np.sqrt(2.0 * np.pi * z)
 
@@ -193,6 +205,68 @@ def _source_on_rule(u, grid: RadialGrid, n: int, quad_pts: int):
     return vals, xq, uq * xq**n * wq
 
 
+def _split_pairs(link: "LinkData", t: float, u, grid: RadialGrid,
+                 mode: float, quad_pts: int):
+    """Checked inputs of `heat_apply` and `heat_sup`, and where their pairs split.
+
+    Returns nu, the y-rule's nodes xq, the weighted source g on them, each
+    row's far-field length split (nodes j < split_i have z <= 30), and the
+    start lo and length count of each row's near band.
+    """
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError("time t must be finite and positive")
+    x = grid.x
+    vals, xq, g = _source_on_rule(u, grid, link.n, quad_pts)
+    # warn if u carries mass the truncated quadrature domain cannot absorb
+    edge = np.abs(vals[-1]) * grid.L**link.n
+    if edge > 1e-12 * max(1.0, np.max(np.abs(vals))):
+        warnings.warn("field has mass near the outer truncation radius",
+                      stacklevel=3)
+    # split_i is the first node y with z = x_i y / 2t past the series range
+    split = np.searchsorted(xq, 2.0 * t * _SERIES_MAX_Z / x, side="right")
+    reach = math.sqrt(4.0 * t * 41.0)
+    lo = np.maximum(split, np.searchsorted(xq, x - reach, side="left"))
+    count = np.maximum(np.searchsorted(xq, x + reach, side="right") - lo, 0)
+    return nu_from_mode(link.n, mode), xq, g, split, lo, count
+
+
+def _far_field(n: int, nu: float, t: float, x, xq, g, split) -> np.ndarray:
+    """Each row's sum over its pairs with z <= 30, by the separable series.
+
+    Row i sums A_k(x_i) times the prefix sum of A_k(y) y^{-(n-1)/2} g(y)
+    over the nodes j < split_i, and of its absolute value, which decides
+    where the series stops.
+    """
+    r = np.count_nonzero(split)  # split falls as x grows
+    far = np.zeros(x.size)
+    if r:
+        m, cut = split[0], split[:r]
+        s = np.concatenate([x[:r], xq[:m]])
+        a = np.exp(nu * np.log(s / (2.0 * math.sqrt(t))) - s * s / (4.0 * t)
+                   - 0.5 * math.lgamma(nu + 1.0))
+        gf = g[:m] * xq[:m] ** (-(n - 1) / 2.0)
+        gf = np.column_stack([gf, np.abs(gf)])
+        total = np.zeros((r, 2))
+        for k in range(_SERIES_TERMS + 1):
+            if k:
+                a *= s * s / (4.0 * t * math.sqrt(k * (k + nu)))
+            term = a[:r, None] * np.cumsum(a[r:, None] * gf, axis=0)[cut - 1]
+            total += term
+            if k > 4 and np.max(term[:, 1]) <= 1e-18 * np.max(total[:, 1]):
+                break
+        far[:r] = total[:, 0] * x[:r] ** (-(n - 1) / 2.0) / (2.0 * t)
+    return far
+
+
+def _near_field(n: int, nu: float, t: float, x, xq, g, lo, count) -> np.ndarray:
+    """Each row's sum of the kernel times g over its near band
+    xq[lo_i : lo_i + count_i]; a row with count_i = 0 sums nothing."""
+    i = np.repeat(np.arange(x.size), count)
+    j = np.arange(i.size) + (lo - np.cumsum(count) + count)[i]
+    near = cone_kernel_mode(n, nu, t, x[i], xq[j]) * g[j]
+    return np.bincount(i, weights=near, minlength=x.size)
+
+
 def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
                mode: float = 0.0, quad_pts: int = 4) -> np.ndarray:
     """Apply the mode heat semigroup: integral of h_nu(t,x,y) u(y) y^n dy.
@@ -216,50 +290,34 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
     the Gaussian band (x-y)^2/4t <= 41; the pairs outside it contribute
     below 2e-18 of the kernel scale.
     """
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError("time t must be finite and positive")
-    n = link.n
-    nu = nu_from_mode(n, mode)
-    x = grid.x
-    vals, xq, g = _source_on_rule(u, grid, n, quad_pts)
-    # warn if u carries mass the truncated quadrature domain cannot absorb
-    edge = np.abs(vals[-1]) * grid.L**n
-    if edge > 1e-12 * max(1.0, np.max(np.abs(vals))):
-        warnings.warn("field has mass near the outer truncation radius",
-                      stacklevel=2)
-    # split_i is the first node y with z = x_i y / 2t past the series range
-    split = np.searchsorted(xq, 2.0 * t * _SERIES_MAX_Z / x, side="right")
+    nu, xq, g, split, lo, count = _split_pairs(link, t, u, grid, mode, quad_pts)
+    return (_far_field(link.n, nu, t, grid.x, xq, g, split)
+            + _near_field(link.n, nu, t, grid.x, xq, g, lo, count))
 
-    # far field: row i sums A_k(x_i) times the prefix sum of
-    # A_k(y) y^{-(n-1)/2} g(y) over the nodes j < split_i, and of its
-    # absolute value, which decides where the series stops
-    r = np.count_nonzero(split)  # split falls as x grows
-    far = np.zeros(x.size)
-    if r:
-        m, cut = split[0], split[:r]
-        s = np.concatenate([x[:r], xq[:m]])
-        a = np.exp(nu * np.log(s / (2.0 * math.sqrt(t))) - s * s / (4.0 * t)
-                   - 0.5 * math.lgamma(nu + 1.0))
-        gf = g[:m] * xq[:m] ** (-(n - 1) / 2.0)
-        gf = np.column_stack([gf, np.abs(gf)])
-        total = np.zeros((r, 2))
-        for k in range(_SERIES_TERMS + 1):
-            if k:
-                a *= s * s / (4.0 * t * math.sqrt(k * (k + nu)))
-            term = a[:r, None] * np.cumsum(a[r:, None] * gf, axis=0)[cut - 1]
-            total += term
-            if k > 4 and np.max(term[:, 1]) <= 1e-18 * np.max(total[:, 1]):
-                break
-        far[:r] = total[:, 0] * x[:r] ** (-(n - 1) / 2.0) / (2.0 * t)
 
-    # near field, z > 30: the kernel on each row's band of Gaussian reach
-    reach = math.sqrt(4.0 * t * 41.0)
-    lo = np.maximum(split, np.searchsorted(xq, x - reach, side="left"))
-    count = np.maximum(np.searchsorted(xq, x + reach, side="right") - lo, 0)
-    i = np.repeat(np.arange(x.size), count)
-    j = np.arange(i.size) + (lo - np.cumsum(count) + count)[i]
-    near = cone_kernel_mode(n, nu, t, x[i], xq[j]) * g[j]
-    return far + np.bincount(i, weights=near, minlength=x.size)
+def heat_sup(link: "LinkData", t: float, u, grid: RadialGrid,
+             mode: float = 0.0, quad_pts: int = 4) -> float:
+    """max |heat_apply(link, t, u, grid, mode, quad_pts)|, bit for bit.
+
+    The rows with an empty near band are exact after the far field; their
+    largest |value| is best.  Row i's near sum is at most _BIGZ_SUP
+    x_i^{-n/2} / (2 sqrt(pi t)) times the sum of y^{-n/2} |g| over its band
+    (module docstring), one difference of a prefix sum, and only the rows
+    whose |far| plus that bound reaches best evaluate their band: the others
+    cannot hold the maximum.
+    """
+    n, x = link.n, grid.x
+    nu, xq, g, split, lo, count = _split_pairs(link, t, u, grid, mode, quad_pts)
+    far = _far_field(n, nu, t, x, xq, g, split)
+    best = np.max(np.abs(far[count == 0]), initial=-np.inf)
+    pre = np.concatenate([[0.0], np.cumsum(xq ** (-n / 2.0) * np.abs(g))])
+    hi = lo + count
+    # a cumulative sum of Q positive terms is within Q eps of its value
+    band = pre[hi] - pre[lo] + 2.0 * xq.size * np.finfo(float).eps * pre[hi]
+    bound = _BIGZ_SUP * x ** (-n / 2.0) / (2.0 * math.sqrt(math.pi * t)) * band
+    pruned = np.abs(far) + bound < best
+    near = _near_field(n, nu, t, x, xq, g, lo, np.where(pruned, 0, count))
+    return float(np.max(np.abs(far + near)))
 
 
 def _gauss_jacobi(npts: int, beta: float):
@@ -415,6 +473,13 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     exponent fitted on x in [0.012, 0.1] against the predicted table
     (bounded for N < 2, log for N = 2, -N+2 for N > 2, within 0.1) and the
     fitted temporal slope of sup|H(t)f| against -N/2 (within 0.15).
+
+    The sups come from `heat_sup`, equal to max|H(t)f| bit for bit: a row
+    evaluates its near band only if its far field plus the bound
+    1.01 x^{-n/2} / (2 sqrt(pi t)) * sum over the band of y^{-n/2} |g| on
+    its near sum reaches the largest row without a near band.  For x^{-N}
+    the sup sits at the first node, a row with no near band, so most rows
+    never touch a Bessel function.
     """
     n = link.n
     if not (0 < N_exp <= n):
@@ -432,9 +497,7 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     sel = (x >= 0.012) & (x <= 0.1)
     cls = classify_tip_behavior(x[sel], conv[sel])
 
-    sups = np.array([np.max(np.abs(
-        heat_apply(link, t, f, grid, quad_pts=2)))
-        for t in t_grid])
+    sups = np.array([heat_sup(link, t, f, grid, quad_pts=2) for t in t_grid])
     tslope = float(np.polyfit(np.log(t_grid), np.log(sups), 1)[0])
 
     predicted = -N_exp + 2.0

@@ -8,6 +8,11 @@ import pytest
 from conelab import entropy, geometry, link as linkmod
 
 
+def total_volume(metric):
+    """Total Riemannian volume: the sum of the metric's volume weights."""
+    return float(geometry.volume_form(metric).sum())
+
+
 @pytest.fixture(scope="session")
 def s3():
     return linkmod.sphere_link(3, 6)

@@ -20,9 +20,10 @@ from conelab.geometry import (
     perturbed_cone,
     smooth_cutoff,
     sphere_suspension,
-    total_volume,
     volume_form,
 )
+
+from conftest import total_volume
 
 
 @pytest.fixture(scope="module")

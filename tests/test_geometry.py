@@ -20,11 +20,12 @@ from conelab.geometry import (
     radial_hessian,
     smooth_cutoff,
     sphere_suspension,
-    total_volume,
     volume_form,
     warped_ricci,
     warped_scal,
 )
+
+from conftest import total_volume
 
 
 def test_graded_grid_construction():

@@ -21,6 +21,7 @@ from conelab.heat import (
     cone_kernel_mode,
     heat_apply,
     heat_convolve,
+    heat_sup,
     kernel_mass,
     mapping_exponent_report,
     nu_from_mode,
@@ -80,6 +81,35 @@ class TestBesselI:
             bessel_i(-1.0, 1.0)
         with pytest.raises(ValueError):
             bessel_i(1.0, -1.0)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 20.0, 100.0])
+    def test_bigz_sup_bounds_scaled_bessel(self, nu):
+        """heat_sup prunes with e^{-z} I_nu(z) sqrt(2 pi z) <= 1.01 on z > 30;
+        the largest value is 1.00425, at nu = 0 and z -> 30."""
+        z = np.concatenate([[np.nextafter(30.0, np.inf)],
+                            np.geomspace(30.0, 1e7, 4000)[1:]])
+        scaled = bessel_i(nu, z, scaled=True) * np.sqrt(2.0 * np.pi * z)
+        assert heat._BIGZ_SUP == 1.01 and np.max(scaled) <= 1.01
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 3.0])
+    def test_bigz_expansion_matches_gather_loop(self, nu):
+        """The masked large-z loop equals the loop that gathered the live
+        entries each term, bit for bit."""
+        z = np.concatenate([np.geomspace(30.0, 1e4, 3000)[1:],
+                            np.random.default_rng(1).uniform(30.0, 1e4, 3000)])
+        total = np.ones_like(z)
+        term = np.ones_like(z)
+        live = np.arange(z.size)
+        for k in range(1, 30):
+            term = term * (-(4.0 * nu * nu - (2 * k - 1) ** 2)
+                           / (8.0 * k * z[live]))
+            total[live] += term
+            keep = np.abs(term) >= 1e-17
+            live, term = live[keep], term[keep]
+            if not live.size:
+                break
+        ref = total / np.sqrt(2.0 * np.pi * z)
+        assert heat._bessel_i_bigz_scaled(nu, z).tolist() == ref.tolist()
 
 
 class TestConeKernel:
@@ -228,6 +258,62 @@ class TestHeatApply:
         grid = RadialGrid.graded(200, 1.0, p=1.0)
         with pytest.warns(UserWarning, match="truncation"):
             heat_apply(s3, 0.01, np.ones(200), grid)
+
+
+class TestHeatSup:
+    T_MAPPING = np.geomspace(5e-4, 0.02, 7)
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    def test_equals_max_of_heat_apply_on_mapping_inputs(self, name):
+        lk = linkmod.get_link(name)
+        grid = RadialGrid.graded(800, 1.0, p=2.0)
+        for N in (0.5, 1.0, 2.0, 2.5, 3.0):
+            if N > lk.n:
+                continue
+            f = lambda y: y ** (-N) * geometry.smooth_cutoff(y, 0.25, 0.5)
+            for t in self.T_MAPPING:
+                full = heat_apply(lk, t, f, grid, quad_pts=2)
+                assert heat_sup(lk, t, f, grid, quad_pts=2) \
+                    == np.max(np.abs(full)), (N, t)
+
+    @pytest.mark.parametrize("tip", [0.0, 1.0])
+    def test_equals_max_of_heat_apply_for_sign_changing_source(self, s3, tip):
+        """With tip = 0 the source sits away from the tip and the sup at a
+        row with a near band, which only the bound keeps from being pruned;
+        with tip = 1 an x^{-1/2} spike competes with it."""
+        grid = RadialGrid.graded(400, 2.0, p=2.0)
+        f = lambda y: ((np.sin(9.0 * y) * np.exp(-((y - 0.8) / 0.2) ** 2)
+                        + tip * np.cos(9.0 * y) / np.sqrt(y))
+                       * geometry.smooth_cutoff(y, 1.2, 1.6))
+        for u in (f, f(grid.x)):
+            for t in (1e-4, 3e-3, 0.05):
+                for mode in (0.0, 8.0):
+                    full = heat_apply(s3, t, u, grid, mode=mode)
+                    assert heat_sup(s3, t, u, grid, mode=mode) \
+                        == np.max(np.abs(full)), (t, mode)
+
+    def test_every_row_with_a_near_band_is_evaluated(self, s3):
+        # nodes from x = 0.5 at t = 5e-4: every row has near pairs, so no row
+        # is exact before its band is summed
+        grid = RadialGrid(x=np.linspace(0.5, 1.5, 300), L=1.5)
+        f = lambda y: np.sin(7.0 * y) * geometry.smooth_cutoff(y, 1.1, 1.4)
+        t = 5e-4
+        _, _, _, _, _, count = heat._split_pairs(s3, t, f, grid, 0.0, 4)
+        assert np.all(count > 0)
+        assert heat_sup(s3, t, f, grid) == np.max(np.abs(heat_apply(s3, t, f, grid)))
+
+    def test_no_near_field_for_the_mapping_sup_on_s3(self, s3, monkeypatch):
+        """For x^{-3} on S^3 the sup sits at the first node, a row with no
+        near band, at every one of mapping's times."""
+        points = []
+        kernel = heat.cone_kernel_mode
+        monkeypatch.setattr(heat, "cone_kernel_mode", lambda n, nu, t, x, y: (
+            points.append(np.size(x)), kernel(n, nu, t, x, y))[1])
+        grid = RadialGrid.graded(800, 1.0, p=2.0)
+        f = lambda y: y ** -3.0 * geometry.smooth_cutoff(y, 0.25, 0.5)
+        for t in self.T_MAPPING:
+            heat_sup(s3, t, f, grid, quad_pts=2)
+        assert sum(points) == 0
 
 
 class TestTipClassification:
