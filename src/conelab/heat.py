@@ -296,8 +296,8 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
 
 
 def heat_sup(link: "LinkData", t: float, u, grid: RadialGrid,
-             mode: float = 0.0, quad_pts: int = 4) -> float:
-    """max |heat_apply(link, t, u, grid, mode, quad_pts)|, bit for bit.
+             quad_pts: int) -> float:
+    """max |heat_apply(link, t, u, grid, quad_pts=quad_pts)|, bit for bit.
 
     The rows with an empty near band are exact after the far field; their
     largest |value| is best.  Row i's near sum is at most _BIGZ_SUP
@@ -307,7 +307,7 @@ def heat_sup(link: "LinkData", t: float, u, grid: RadialGrid,
     cannot hold the maximum.
     """
     n, x = link.n, grid.x
-    nu, xq, g, split, lo, count = _split_pairs(link, t, u, grid, mode, quad_pts)
+    nu, xq, g, split, lo, count = _split_pairs(link, t, u, grid, 0.0, quad_pts)
     far = _far_field(n, nu, t, x, xq, g, split)
     best = np.max(np.abs(far[count == 0]), initial=-np.inf)
     pre = np.concatenate([[0.0], np.cumsum(xq ** (-n / 2.0) * np.abs(g))])
@@ -473,13 +473,7 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     exponent fitted on x in [0.012, 0.1] against the predicted table
     (bounded for N < 2, log for N = 2, -N+2 for N > 2, within 0.1) and the
     fitted temporal slope of sup|H(t)f| against -N/2 (within 0.15).
-
-    The sups come from `heat_sup`, equal to max|H(t)f| bit for bit: a row
-    evaluates its near band only if its far field plus the bound
-    1.01 x^{-n/2} / (2 sqrt(pi t)) * sum over the band of y^{-n/2} |g| on
-    its near sum reaches the largest row without a near band.  For x^{-N}
-    the sup sits at the first node, a row with no near band, so most rows
-    never touch a Bessel function.
+    The sups come from `heat_sup`, bit-identical to max|H(t)f|.
     """
     n = link.n
     if not (0 < N_exp <= n):
@@ -497,7 +491,7 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     sel = (x >= 0.012) & (x <= 0.1)
     cls = classify_tip_behavior(x[sel], conv[sel])
 
-    sups = np.array([heat_sup(link, t, f, grid, quad_pts=2) for t in t_grid])
+    sups = np.array([heat_sup(link, t, f, grid, 2) for t in t_grid])
     tslope = float(np.polyfit(np.log(t_grid), np.log(sups), 1)[0])
 
     predicted = -N_exp + 2.0
