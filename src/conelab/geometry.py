@@ -355,17 +355,3 @@ def metric_from_csv(link, path: str, gamma: float = 1.0) -> RadialMetric:
                         b=np.asarray(data["b"], dtype=float),
                         gamma=gamma)
 
-
-def perturb_metric(metric: RadialMetric, h_rad, h_link, eps: float) -> RadialMetric:
-    """g + eps h for a radial 2-tensor h = h_rad dx^2 + h_link b^2 g_F."""
-    a_new = np.sqrt(metric.a**2 + eps * h_rad)
-    b_new = metric.b * np.sqrt(1.0 + eps * h_link)
-    return replace(metric, a=a_new, b=b_new)
-
-
-def lie_derivative_tensor(metric: RadialMetric, xi) -> tuple[np.ndarray, np.ndarray]:
-    """(h_rad, h_link) of the Lie derivative of g along X = xi(x) d/dx."""
-    a, b = metric.a, metric.b
-    h_rad = 2.0 * a * metric.grid.d1(a * xi)
-    h_link = 2.0 * (metric.jet[1] / np.where(b > 0, b, 1.0)) * xi
-    return h_rad, h_link

@@ -9,7 +9,10 @@ from the ascending power series for small argument and from the Debye-type
 uniform asymptotic expansion (DLMF 10.41) for large argument; the scaled
 variant e^{-z} I_nu(z) stays finite far beyond the overflow range and lets
 the kernel be assembled through the stable combination
-exp(z - (x^2+y^2)/4t) = exp(-(x-y)^2/4t).
+exp(z - (x^2+y^2)/4t) = exp(-(x-y)^2/4t).  `bessel_i` and
+`cone_kernel_mode` also take a 1-D array of orders, a leading axis whose
+rows equal the one-order calls bit for bit; `s1_plane_kernel_error` takes
+its modes a block of orders per call.
 
 `heat_apply` forms no dense kernel matrix: below the branch point z = 30
 the series factorizes and is summed by prefix sums, and above it the kernel
@@ -44,6 +47,8 @@ _SERIES_TERMS = 90
 # for roundoff: I_nu falls as nu grows, and the sup is 1.00425, at nu = 0
 _BIGZ_SUP = 1.01
 _DEBYE_ORDER = 10
+# orders per cone_kernel_mode call in s1_plane_kernel_error
+_PLANE_BLOCK = 32
 
 
 def _debye_polynomials(kmax: int):
@@ -70,30 +75,50 @@ def _debye_polynomials(kmax: int):
 _DEBYE_U = _debye_polynomials(_DEBYE_ORDER)
 
 
-def _bessel_i_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_nu(z) by the ascending series; intended for z <= ~30."""
-    out = np.zeros_like(z)
+def _bessel_i_series_scaled(nu: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """e^{-z} I_nu(z) by the ascending series, one row per order nu[k].
+
+    Intended for z <= ~30.  Each row stops on its own rule, once k > 4 and
+    its largest new term is at most 1e-18 of its largest partial sum, and
+    leaves the live set; the rest run on, up to _SERIES_TERMS terms.
+    """
+    out = np.zeros((nu.size, z.size))
     zero = z == 0.0
     if zero.any():
-        out[zero] = 1.0 if nu == 0.0 else 0.0
+        out[:, zero] = np.where(nu == 0.0, 1.0, 0.0)[:, None]
     pos = ~zero
     if pos.any():
         zp = z[pos]
-        logt0 = nu * np.log(zp / 2.0) - math.lgamma(nu + 1.0)
+        lgam = np.array([math.lgamma(v + 1.0) for v in nu.tolist()])
+        logt0 = nu[:, None] * np.log(zp / 2.0) - lgam[:, None]
         term = np.exp(logt0 - zp)
         total = term.copy()
         q = zp * zp / 4.0
+        rows, col = np.arange(nu.size), nu[:, None]  # live rows, their orders
+        sums = np.empty_like(total)
         for k in range(1, _SERIES_TERMS + 1):
-            term = term * q / (k * (k + nu))
+            term = term * q / (k * (k + col))
             total += term
-            if k > 4 and np.max(term) <= 1e-18 * np.max(total):
-                break
-        out[pos] = total
+            if k > 4:
+                done = term.max(axis=1) <= 1e-18 * total.max(axis=1)
+                if done.any():
+                    sums[rows[done]] = total[done]
+                    if done.all():
+                        break
+                    keep = ~done
+                    rows, col = rows[keep], col[keep]
+                    term, total = term[keep], total[keep]
+        else:
+            sums[rows] = total
+        out[:, pos] = sums
     return out
 
 
-def _bessel_i_bigz_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_nu(z) by the fixed-order large-z expansion (needs 4 nu^2 <~ z)."""
+def _bessel_i_bigz_scaled(nu, z: np.ndarray) -> np.ndarray:
+    """e^{-z} I_nu(z) by the fixed-order large-z expansion (needs 4 nu^2 <~ z).
+
+    nu is one order, or one order per entry of z.
+    """
     total = np.ones_like(z)
     term = np.ones_like(z)
     live = np.ones(z.shape, dtype=bool)  # last term was still >= 1e-17
@@ -108,8 +133,16 @@ def _bessel_i_bigz_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     return total / np.sqrt(2.0 * np.pi * z)
 
 
-def _bessel_i_debye_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_nu(z) by the uniform large-order expansion (DLMF 10.41.3)."""
+def _bessel_i_debye_scaled(nu: np.ndarray, rows: np.ndarray,
+                           z: np.ndarray) -> np.ndarray:
+    """e^{-z} I_nu(z) by the uniform large-order expansion (DLMF 10.41.3).
+
+    Entry i is for the order nu[rows[i]] at z[i].  The powers nu^k are
+    Python floats per order, as a scalar order takes them.
+    """
+    nu_pows = np.array([[v**k for v in nu.tolist()]
+                        for k in range(len(_DEBYE_U))])[:, rows]
+    nu = nu[rows]
     w = z / nu
     s = np.sqrt(1.0 + w * w)
     p = 1.0 / s
@@ -117,37 +150,57 @@ def _bessel_i_debye_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     expo = nu / (s + w) + nu * np.log(w / (1.0 + s))
     total = np.zeros_like(z)
     for k, coeffs in enumerate(_DEBYE_U):
-        total += np.polynomial.polynomial.polyval(p, coeffs) / nu**k
+        total += np.polynomial.polynomial.polyval(p, coeffs) / nu_pows[k]
     return np.exp(expo) / np.sqrt(2.0 * np.pi * nu * s) * total
 
 
-def bessel_i(nu: float, z, scaled: bool = False):
+def bessel_i(nu, z, scaled: bool = False):
     """Modified Bessel function I_nu(z) for nu >= 0, z >= 0 (vectorized in z).
+
+    nu is one order or a 1-D array of K orders; an array gives a leading
+    orders axis, shape (K,) + z.shape, whose row k equals bessel_i(nu[k], z)
+    bit for bit (a scalar order runs the same code as one row).  Each row
+    takes its own branch per entry, and in the series branch each row stops
+    on its own term.
 
     scaled=True returns e^{-z} I_nu(z), finite for huge arguments; the plain
     variant overflows to inf past z ~ 709 as e^z does.
     """
-    if nu < 0:
+    nu_arr = np.asarray(nu, dtype=float)
+    if nu_arr.ndim > 1:
+        raise ValueError("order nu must be a scalar or a 1-D array")
+    orders = np.atleast_1d(nu_arr)
+    if np.any(orders < 0):
         raise ValueError("order nu must be >= 0")
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr).copy()
     if np.any(z_arr < 0):
         raise ValueError("argument z must be >= 0")
-    out = np.empty_like(z_arr)
+    out = np.empty(orders.shape + z_arr.shape)
     small = z_arr <= _SERIES_MAX_Z
     if small.any():
-        out[small] = _bessel_i_series_scaled(nu, z_arr[small])
-    debye = ~small & (4.0 * nu * nu > z_arr)
+        out[:, small] = _bessel_i_series_scaled(orders, z_arr[small])
+    column = orders.reshape(orders.shape + (1,) * z_arr.ndim)
+    debye = ~small & (4.0 * column * column > z_arr)
     bigz = ~small & ~debye
+    z_rows = np.broadcast_to(z_arr, out.shape)
     if bigz.any():
-        out[bigz] = _bessel_i_bigz_scaled(nu, z_arr[bigz])
+        # one order stays a scalar: an order per entry costs the loop two
+        # more array operations per term
+        nu_big = (orders[0] if orders.size == 1
+                  else np.broadcast_to(column, out.shape)[bigz])
+        out[bigz] = _bessel_i_bigz_scaled(nu_big, z_rows[bigz])
     if debye.any():
-        out[debye] = _bessel_i_debye_scaled(nu, z_arr[debye])
+        out[debye] = _bessel_i_debye_scaled(orders, np.nonzero(debye)[0],
+                                            z_rows[debye])
     if not scaled:
         with np.errstate(over="ignore"):
             out = out * np.exp(z_arr)
-    return float(out[0]) if scalar else out
+    if nu_arr.ndim == 0:
+        out = out[0]
+        return float(out[0]) if scalar else out
+    return out[:, 0] if scalar else out
 
 
 def nu_from_mode(n: int, mode: float) -> float:
@@ -155,11 +208,12 @@ def nu_from_mode(n: int, mode: float) -> float:
     return math.sqrt(mode + ((n - 1) / 2.0) ** 2)
 
 
-def cone_kernel_mode(n: int, nu: float, t, x, x_tilde):
+def cone_kernel_mode(n: int, nu, t, x, x_tilde):
     """Mode-nu radial heat kernel of the exact (n+1)-dimensional cone.
 
     t, x and x_tilde may be scalars or arrays that broadcast against each
-    other; every entry of t must be finite and positive.
+    other; every entry of t must be finite and positive.  A 1-D array of
+    orders nu gives a leading orders axis, as in `bessel_i`.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t) & (t > 0)):
@@ -418,15 +472,22 @@ def s1_plane_kernel_error(t, x, x_tilde, dtheta) -> float:
     Gaussian tail is not meaningful here: the generating-function identity
     sum_k eps_k I_k(z) cos(k dth) = e^{z cos dth} forces cancellation by a
     factor e^{z (1 - cos dth)} among the mode terms, which exhausts double
-    precision long before the tail values themselves underflow.  The sum
-    stops at the first mode below 1e-14 of the partial sum, or at k = 400.
+    precision long before the tail values themselves underflow.  The modes
+    come from `cone_kernel_mode` in blocks of _PLANE_BLOCK orders and are
+    added one order at a time; the sum stops at the first mode below 1e-14
+    of the partial sum, or at k = 400.
     """
     t, x, y, dth = np.broadcast_arrays(
         np.asarray(t, float), np.asarray(x, float),
         np.asarray(x_tilde, float), np.asarray(dtheta, float))
+
+    def modes():  # (k, h_k) for k = 0..400, one block of orders at a time
+        for start in range(0, 401, _PLANE_BLOCK):
+            ks = range(start, min(start + _PLANE_BLOCK, 401))
+            yield from zip(ks, cone_kernel_mode(1, np.array(ks, float), t, x, y))
+
     total = np.zeros(t.shape)
-    for k in range(401):
-        hk = cone_kernel_mode(1, float(k), t, x, y)
+    for k, hk in modes():
         weight = 1.0 / (2.0 * np.pi) if k == 0 else 1.0 / np.pi
         total += weight * hk * np.cos(k * dth)
         if k > 0 and np.max(np.abs(hk)) < 1e-14 * np.max(np.abs(total)):

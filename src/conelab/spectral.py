@@ -114,23 +114,18 @@ class AssembledProblem:
         return ab
 
 
-def stiffness_tridiag(metric: RadialMetric, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """P1 stiffness of c * the Laplacian energy form (no potential)."""
-    g = metric.grid
-    dens = metric.b ** metric.link.n / metric.a  # b^n / a
-    h = np.diff(g.x)
-    k_cell = c * metric.link.vol_F * 0.5 * (dens[:-1] + dens[1:]) / h
-    diag = np.zeros(g.N)
-    diag[:-1] += k_cell
-    diag[1:] += k_cell
-    return diag, -k_cell
-
-
 def assemble_operator(op: RadialOperator,
                       dirichlet_outer: bool = False) -> AssembledProblem:
     """Assemble the symmetric banded generalized eigenproblem (K, M)."""
     metric = op.metric
-    diag, off = stiffness_tridiag(metric, op.c)
+    # P1 stiffness of c * the Laplacian energy form, then the potential
+    dens = metric.b ** metric.link.n / metric.a  # b^n / a
+    k_cell = (op.c * metric.link.vol_F * 0.5 * (dens[:-1] + dens[1:])
+              / np.diff(metric.grid.x))
+    diag = np.zeros(metric.grid.N)
+    diag[:-1] += k_cell
+    diag[1:] += k_cell
+    off = -k_cell
     w = volume_form(metric)
     pot = np.zeros(metric.grid.N)
     if op.mode != 0.0:

@@ -1,6 +1,7 @@
 """Shared fixtures: links and reference metrics reused across the suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,21 @@ from conelab import entropy, geometry, link as linkmod
 def total_volume(metric):
     """Total Riemannian volume: the sum of the metric's volume weights."""
     return float(geometry.volume_form(metric).sum())
+
+
+def perturb_metric(metric, h_rad, h_link, eps):
+    """g + eps h for a radial 2-tensor h = h_rad dx^2 + h_link b^2 g_F."""
+    a_new = np.sqrt(metric.a**2 + eps * h_rad)
+    b_new = metric.b * np.sqrt(1.0 + eps * h_link)
+    return replace(metric, a=a_new, b=b_new)
+
+
+def lie_derivative_tensor(metric, xi):
+    """(h_rad, h_link) of the Lie derivative of g along X = xi(x) d/dx."""
+    a, b = metric.a, metric.b
+    h_rad = 2.0 * a * metric.grid.d1(a * xi)
+    h_link = 2.0 * (metric.jet[1] / np.where(b > 0, b, 1.0)) * xi
+    return h_rad, h_link
 
 
 @pytest.fixture(scope="session")

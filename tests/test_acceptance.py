@@ -17,16 +17,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conelab import entropy, flow, geometry, heat, link as linkmod, spectral
+from conelab import entropy, flow, heat, link as linkmod, spectral
 from conelab.geometry import (
     RadialGrid,
     flat_cone,
-    perturb_metric,
     perturbed_cone,
     smooth_cutoff,
     sphere_suspension,
     volume_form,
 )
+
+from conftest import lie_derivative_tensor, perturb_metric
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -198,7 +199,7 @@ def test_08_semigroup_and_first_variation(s3, s4_fine, s4_lambda):
     x4 = s4_fine.grid.x
     chi4 = smooth_cutoff(np.abs(x4 - math.pi / 2.0), 0.5, 1.2)
     xi = 0.05 * np.sin(x4) ** 2 * chi4
-    hr, hl = geometry.lie_derivative_tensor(s4_fine, xi)
+    hr, hl = lie_derivative_tensor(s4_fine, xi)
     diffeo = abs(entropy.first_variation_lambda(s4_fine, s4_lambda, hr, hl))
     _verdict(8, "semigroup, first-variation order, diffeo invariance",
              semi < 1e-6 and order_ok and diffeo < 1e-6,

@@ -16,14 +16,13 @@ from conelab.entropy import (
 )
 from conelab.geometry import (
     RadialGrid,
-    perturb_metric,
     perturbed_cone,
     smooth_cutoff,
     sphere_suspension,
     volume_form,
 )
 
-from conftest import total_volume
+from conftest import lie_derivative_tensor, perturb_metric, total_volume
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +262,7 @@ class TestFirstVariation:
         x = s4_fine.grid.x
         chi = smooth_cutoff(np.abs(x - math.pi / 2.0), 0.5, 1.2)
         xi = 0.05 * np.sin(x) ** 2 * chi
-        h_rad, h_link = geometry.lie_derivative_tensor(s4_fine, xi)
+        h_rad, h_link = lie_derivative_tensor(s4_fine, xi)
         dv = first_variation_lambda(s4_fine, s4_lambda, h_rad, h_link)
         assert abs(dv) < 1e-6
 

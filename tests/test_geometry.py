@@ -13,9 +13,7 @@ from conelab.geometry import (
     RadialGrid,
     RadialMetric,
     flat_cone,
-    lie_derivative_tensor,
     metric_from_csv,
-    perturb_metric,
     perturbed_cone,
     radial_hessian,
     smooth_cutoff,
@@ -25,7 +23,7 @@ from conelab.geometry import (
     warped_scal,
 )
 
-from conftest import total_volume
+from conftest import lie_derivative_tensor, perturb_metric, total_volume
 
 
 def test_graded_grid_construction():

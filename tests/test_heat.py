@@ -61,6 +61,37 @@ class TestBesselI:
             single = [bessel_i(nu, zi, scaled=True) for zi in z]
             assert bessel_i(nu, z, scaled=True).tolist() == single
 
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_orders_axis_rows_match_scalar_calls(self, scaled):
+        """Row k of an array of orders is bessel_i(nu[k], z), bit for bit,
+        over z = 0, series, Debye and large-z entries."""
+        rng = np.random.default_rng(5)
+        z = np.concatenate([[0.0, 1e-300, 30.0, np.nextafter(30.0, np.inf)],
+                            rng.uniform(0.0, 30.0, 30),
+                            rng.uniform(30.0, 200.0, 30),
+                            rng.uniform(200.0, 4e4, 20)])
+        # unsorted orders: rows leave the series in no particular order
+        for orders in (np.arange(120.0),
+                       np.array([40.0, 0.0, 100.0, 3.5, 0.5, 15.5, 1.0, 7.0,
+                                 2.0])):
+            rows = bessel_i(orders, z, scaled=scaled)
+            assert rows.shape == (orders.size, z.size)
+            for nu, row in zip(orders, rows):
+                assert row.tolist() == bessel_i(float(nu), z,
+                                                scaled=scaled).tolist()
+        # a scalar z gives one value per order; a grid of z keeps its shape
+        orders = np.array([0.0, 3.5, 40.0])
+        assert bessel_i(orders, 45.0).tolist() == [
+            bessel_i(nu, 45.0) for nu in orders.tolist()]
+        grid = z[:60].reshape(6, 10)
+        assert bessel_i(orders, grid).shape == (3, 6, 10)
+
+    def test_orders_axis_validation(self):
+        with pytest.raises(ValueError):
+            bessel_i(np.array([1.0, -1.0]), 1.0)
+        with pytest.raises(ValueError):
+            bessel_i(np.ones((2, 2)), 1.0)
+
     def test_branch_boundary_continuity(self):
         for nu in (0.0, 1.0, 3.5, 12.0):
             lo = bessel_i(nu, 30.0 - 1e-9, scaled=True)
@@ -128,6 +159,50 @@ class TestConeKernel:
         assert err < 1e-8
         assert elapsed < 2.0
 
+    @staticmethod
+    def _per_order_mode_sum(t, x, y, dth):
+        """The per-order loop the blocked mode sum replaced, as an oracle:
+        one cone_kernel_mode call per order.  Returns the error and the
+        last order summed."""
+        total = np.zeros(t.shape)
+        for k in range(401):
+            hk = cone_kernel_mode(1, float(k), t, x, y)
+            weight = 1.0 / (2.0 * np.pi) if k == 0 else 1.0 / np.pi
+            total += weight * hk * np.cos(k * dth)
+            if k > 0 and np.max(np.abs(hk)) < 1e-14 * np.max(np.abs(total)):
+                break
+        d2 = x**2 + y**2 - 2.0 * x * y * np.cos(dth)
+        exact = np.exp(-d2 / (4.0 * t)) / (4.0 * np.pi * t)
+        return float(np.max(np.abs(total - exact)) / np.max(np.abs(exact))), k
+
+    @staticmethod
+    def _heat_check_samples(seed, t_min):
+        """heat-check's sampling (cli.cmd_heat_check) at t_max = 1."""
+        rng = np.random.default_rng(seed)
+        t = np.exp(rng.uniform(math.log(t_min), 0.0, 100))
+        x = rng.uniform(0.1, 2.0, 100)
+        y = rng.uniform(0.1, 2.0, 100)
+        dth = rng.uniform(-math.pi, math.pi, 100)
+        return t, x, y, dth
+
+    def test_blocked_mode_sum_equals_per_order_loop(self):
+        for seed in range(1, 31):
+            sample = self._heat_check_samples(seed, 0.01)
+            err, _ = self._per_order_mode_sum(*sample)
+            assert s1_plane_kernel_error(*sample) == err
+
+    def test_blocked_mode_sum_equals_per_order_loop_to_the_cap(self):
+        """Down to t = 1e-4 the sum crosses many blocks of orders: seeds 1
+        and 3 stop inside the last block (k = 375, 389), seed 2 at the
+        k = 400 cap."""
+        lasts = []
+        for seed in (1, 2, 3):
+            sample = self._heat_check_samples(seed, 1e-4)
+            err, last = self._per_order_mode_sum(*sample)
+            lasts.append(last)
+            assert s1_plane_kernel_error(*sample) == err
+        assert lasts == [375, 400, 389]
+
     def test_mode0_matches_sphere_average_of_r4_gaussian(self):
         """Independent quadrature oracle: the radial mode-0 kernel is the
         S^3 average of the 4-dimensional Euclidean Gaussian."""
@@ -174,6 +249,20 @@ class TestConeKernel:
         batch = cone_kernel_mode(3, 1.0, t, x, 0.8)
         single = [cone_kernel_mode(3, 1.0, ti, xi, 0.8) for ti, xi in zip(t, x)]
         assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
+
+    def test_orders_axis_rows_match_scalar_calls(self):
+        rng = np.random.default_rng(9)
+        t = np.exp(rng.uniform(math.log(1e-4), 0.0, 60))
+        x = rng.uniform(1e-6, 2.0, 60)
+        y = rng.uniform(0.1, 2.0, 60)
+        for n in (1, 3):
+            orders = np.concatenate([np.arange(120.0),
+                                     [0.5, 3.5, 15.5, 40.0, 100.0]])
+            rows = cone_kernel_mode(n, orders, t, x, y)
+            assert rows.shape == (orders.size, t.size)
+            for nu, row in zip(orders, rows):
+                assert row.tolist() == cone_kernel_mode(
+                    n, float(nu), t, x, y).tolist()
 
     def test_indicial_order_from_mode(self, s3):
         assert nu_from_mode(3, 0.0) == 1.0
