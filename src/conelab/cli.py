@@ -172,6 +172,8 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("heat needs 0 < t_min <= t_max")
     if not 0 < cfg["nu"]["tau_min"] <= cfg["nu"]["tau_max"]:
         raise ConfigError("nu needs 0 < tau_min <= tau_max")
+    if cfg["flow"]["drift_bound"] <= 0:
+        raise ConfigError("flow.drift_bound must be positive")
     if cfg["metric"]["path"] and cfg["metric"]["preset"] not in ("", "file"):
         raise ConfigError(
             "metric.path conflicts with metric.preset; use preset = file")

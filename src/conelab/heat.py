@@ -4,9 +4,9 @@ The mode-nu radial heat kernel of the exact cone of dimension n+1 is
 
     h_nu(t, x, y) = (x y)^{-(n-1)/2} (1/2t) I_nu(x y / 2t) exp(-(x^2+y^2)/4t)
 
-with I_nu the modified Bessel function of the first kind.  I_nu is computed
-from the ascending power series for small argument and from the Debye-type
-uniform asymptotic expansion (DLMF 10.41) for large argument; the scaled
+with I_nu the modified Bessel function of the first kind.  I_nu comes from
+the large-z expansion (DLMF 10.40.1) where z > 30 and 4 nu^2 <= z, which
+scipy.special.ive does not beat there, and from ive elsewhere; the scaled
 variant e^{-z} I_nu(z) stays finite far beyond the overflow range and lets
 the kernel be assembled through the stable combination
 exp(z - (x^2+y^2)/4t) = exp(-(x-y)^2/4t).  `bessel_i` and
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -46,72 +45,8 @@ _SERIES_TERMS = 90
 # bounds e^{-z} I_nu(z) sqrt(2 pi z) on z > 30 for every nu >= 0, with room
 # for roundoff: I_nu falls as nu grows, and the sup is 1.00425, at nu = 0
 _BIGZ_SUP = 1.01
-_DEBYE_ORDER = 10
 # orders per cone_kernel_mode call in s1_plane_kernel_error
 _PLANE_BLOCK = 32
-
-
-def _debye_polynomials(kmax: int):
-    """Coefficient lists (ascending powers of p) of the polynomials U_k."""
-    polys = [[Fraction(1)]]
-    for _ in range(kmax):
-        u = polys[-1]
-        du = [i * c for i, c in enumerate(u)][1:]
-        new = [Fraction(0)] * (len(u) + 4)
-        # (1/2) p^2 (1 - p^2) u'(p)
-        for i, c in enumerate(du):
-            new[i + 2] += c / 2
-            new[i + 4] -= c / 2
-        # (1/8) int_0^p (1 - 5 t^2) u(t) dt
-        for i, c in enumerate(u):
-            new[i + 1] += c / (8 * (i + 1))
-            new[i + 3] -= 5 * c / (8 * (i + 3))
-        while new and new[-1] == 0:
-            new.pop()
-        polys.append(new)
-    return [np.array([float(c) for c in poly]) for poly in polys]
-
-
-_DEBYE_U = _debye_polynomials(_DEBYE_ORDER)
-
-
-def _bessel_i_series_scaled(nu: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_nu(z) by the ascending series, one row per order nu[k].
-
-    Intended for z <= ~30.  Each row stops on its own rule, once k > 4 and
-    its largest new term is at most 1e-18 of its largest partial sum, and
-    leaves the live set; the rest run on, up to _SERIES_TERMS terms.
-    """
-    out = np.zeros((nu.size, z.size))
-    zero = z == 0.0
-    if zero.any():
-        out[:, zero] = np.where(nu == 0.0, 1.0, 0.0)[:, None]
-    pos = ~zero
-    if pos.any():
-        zp = z[pos]
-        lgam = np.array([math.lgamma(v + 1.0) for v in nu.tolist()])
-        logt0 = nu[:, None] * np.log(zp / 2.0) - lgam[:, None]
-        term = np.exp(logt0 - zp)
-        total = term.copy()
-        q = zp * zp / 4.0
-        rows, col = np.arange(nu.size), nu[:, None]  # live rows, their orders
-        sums = np.empty_like(total)
-        for k in range(1, _SERIES_TERMS + 1):
-            term = term * q / (k * (k + col))
-            total += term
-            if k > 4:
-                done = term.max(axis=1) <= 1e-18 * total.max(axis=1)
-                if done.any():
-                    sums[rows[done]] = total[done]
-                    if done.all():
-                        break
-                    keep = ~done
-                    rows, col = rows[keep], col[keep]
-                    term, total = term[keep], total[keep]
-        else:
-            sums[rows] = total
-        out[:, pos] = sums
-    return out
 
 
 def _bessel_i_bigz_scaled(nu, z: np.ndarray) -> np.ndarray:
@@ -133,35 +68,17 @@ def _bessel_i_bigz_scaled(nu, z: np.ndarray) -> np.ndarray:
     return total / np.sqrt(2.0 * np.pi * z)
 
 
-def _bessel_i_debye_scaled(nu: np.ndarray, rows: np.ndarray,
-                           z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_nu(z) by the uniform large-order expansion (DLMF 10.41.3).
-
-    Entry i is for the order nu[rows[i]] at z[i].  The powers nu^k are
-    Python floats per order, as a scalar order takes them.
-    """
-    nu_pows = np.array([[v**k for v in nu.tolist()]
-                        for k in range(len(_DEBYE_U))])[:, rows]
-    nu = nu[rows]
-    w = z / nu
-    s = np.sqrt(1.0 + w * w)
-    p = 1.0 / s
-    # nu*eta - z, written cancellation-free
-    expo = nu / (s + w) + nu * np.log(w / (1.0 + s))
-    total = np.zeros_like(z)
-    for k, coeffs in enumerate(_DEBYE_U):
-        total += np.polynomial.polynomial.polyval(p, coeffs) / nu_pows[k]
-    return np.exp(expo) / np.sqrt(2.0 * np.pi * nu * s) * total
-
-
 def bessel_i(nu, z, scaled: bool = False):
     """Modified Bessel function I_nu(z) for nu >= 0, z >= 0 (vectorized in z).
 
     nu is one order or a 1-D array of K orders; an array gives a leading
     orders axis, shape (K,) + z.shape, whose row k equals bessel_i(nu[k], z)
-    bit for bit (a scalar order runs the same code as one row).  Each row
-    takes its own branch per entry, and in the series branch each row stops
-    on its own term.
+    bit for bit: every entry takes its branch on its own (nu, z).
+
+    Entries with z > 30 and 4 nu^2 <= z come from the large-z expansion
+    (DLMF 10.40.1), which scipy.special.ive does not beat there and which
+    stays finite where ive returns NaN, above z ~ 1.08e9; every other entry
+    comes from ive, so every order below about 16,000 is covered at every z.
 
     scaled=True returns e^{-z} I_nu(z), finite for huge arguments; the plain
     variant overflows to inf past z ~ 709 as e^z does.
@@ -174,26 +91,22 @@ def bessel_i(nu, z, scaled: bool = False):
         raise ValueError("order nu must be >= 0")
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr).copy()
+    z_arr = np.atleast_1d(z_arr)
     if np.any(z_arr < 0):
         raise ValueError("argument z must be >= 0")
-    out = np.empty(orders.shape + z_arr.shape)
-    small = z_arr <= _SERIES_MAX_Z
-    if small.any():
-        out[:, small] = _bessel_i_series_scaled(orders, z_arr[small])
+    from scipy.special import ive
     column = orders.reshape(orders.shape + (1,) * z_arr.ndim)
-    debye = ~small & (4.0 * column * column > z_arr)
-    bigz = ~small & ~debye
-    z_rows = np.broadcast_to(z_arr, out.shape)
+    bigz = (z_arr > _SERIES_MAX_Z) & (4.0 * column * column <= z_arr)
+    rest = ~bigz
+    nu_rows = np.broadcast_to(column, bigz.shape)
+    z_rows = np.broadcast_to(z_arr, bigz.shape)
+    out = np.empty(bigz.shape)
+    out[rest] = ive(nu_rows[rest], z_rows[rest])
     if bigz.any():
         # one order stays a scalar: an order per entry costs the loop two
         # more array operations per term
-        nu_big = (orders[0] if orders.size == 1
-                  else np.broadcast_to(column, out.shape)[bigz])
+        nu_big = orders[0] if orders.size == 1 else nu_rows[bigz]
         out[bigz] = _bessel_i_bigz_scaled(nu_big, z_rows[bigz])
-    if debye.any():
-        out[debye] = _bessel_i_debye_scaled(orders, np.nonzero(debye)[0],
-                                            z_rows[debye])
     if not scaled:
         with np.errstate(over="ignore"):
             out = out * np.exp(z_arr)
@@ -339,7 +252,8 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
     so a row's far-field sum is sum_k A_k(x) times a prefix sum over the
     sorted nodes: O(K (N+Q)) work.  Every A_k is at most about 1 and every
     term is positive, so nothing cancels or overflows, and the series stops
-    by `bessel_i`'s rule: the far field is the series kernel to roundoff.
+    once k > 4 and its largest new term is at most 1e-18 of its largest
+    partial sum: the far field is the series kernel to roundoff.
     In the near field, z > 30, `cone_kernel_mode` runs only on the pairs of
     the Gaussian band (x-y)^2/4t <= 41; the pairs outside it contribute
     below 2e-18 of the kernel scale.
@@ -392,8 +306,8 @@ def _gauss_jacobi(npts: int, beta: float):
 
 
 def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
-                  mode: float = 0.0, quad_pts: int = 4) -> np.ndarray:
-    """Time convolution integral_0^t H(sigma) f dsigma against a fixed source.
+                  quad_pts: int = 4) -> np.ndarray:
+    """Time convolution integral_0^t H(sigma) f dsigma, mode nu = (n-1)/2.
 
     Computed as G f minus the tail integral_t^inf H(sigma) f dsigma.  G, the
     Green operator integral_0^inf H(sigma) dsigma, has the kernel
@@ -403,10 +317,10 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
     kink at y = x lies on a panel edge.  In s = t/sigma in (0, 1] the tail's
     integrand is s^{nu-1} times an analytic function: a Gauss-Jacobi rule
     with n = max(8, ceil(2 L / sqrt t)) nodes takes it, one `heat_apply` at
-    sigma = t/s >= t per node.  For nu = 0, where G is infinite, 1/(2 sigma)
-    is subtracted on sigma > t: G_0(x, y) = -log max(x, y) + log 2
-    - gamma_E/2 + (1/2) log t, and the tail integrand h_0 - 1/(2 sigma) is
-    analytic at s = 0, so the rule is Gauss-Legendre.
+    sigma = t/s >= t per node.  For nu = 0 (the S^1 link), where G is
+    infinite, 1/(2 sigma) is subtracted on sigma > t: G_0(x, y) =
+    -log max(x, y) + log 2 - gamma_E/2 + (1/2) log t, and the tail integrand
+    h_0 - 1/(2 sigma) is analytic at s = 0, so the rule is Gauss-Legendre.
 
     G f and the tail are both O(integral f) while their difference is O(t):
     about log10(L^2/t) digits cancel, and n grows like L/sqrt t, so for
@@ -417,7 +331,7 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
     if not (np.isfinite(t) and t > 0):
         raise ValueError("time t must be finite and positive")
     n = link.n
-    nu = nu_from_mode(n, mode)
+    nu = (n - 1) / 2.0
     x = grid.x
     _, xq, g = _source_on_rule(f, grid, n, quad_pts)
     below = np.searchsorted(xq, x)  # the nodes y < x_i are xq[:below[i]]
@@ -443,8 +357,8 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
     s, w = _gauss_jacobi(nodes, beta)
     w = w * s**-beta
     tail = sum(wi * t / si**2
-               * (heat_apply(link, t / si, f, grid, mode=mode,
-                             quad_pts=quad_pts) - si / (2.0 * t) * mass)
+               * (heat_apply(link, t / si, f, grid, quad_pts=quad_pts)
+                  - si / (2.0 * t) * mass)
                for si, wi in zip(s, w))
     return green - tail
 
@@ -548,7 +462,7 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     def f(y):
         return y ** (-N_exp) * smooth_cutoff(y, 0.25, 0.5)
 
-    conv = heat_convolve(link, 1.0, f, grid, mode=0.0, quad_pts=2)
+    conv = heat_convolve(link, 1.0, f, grid, quad_pts=2)
     sel = (x >= 0.012) & (x <= 0.1)
     cls = classify_tip_behavior(x[sel], conv[sel])
 

@@ -40,8 +40,6 @@ class IndicialData:
     mu_plus: np.ndarray
     mu_minus: np.ndarray
     gamma_bar: float | None
-    # eigenvalues with nu in [0,1): maximal-domain window, extension not unique
-    non_selfadjoint_modes: np.ndarray
     essentially_selfadjoint: bool
 
 
@@ -58,7 +56,6 @@ def indicial_exponents(link, gamma: float) -> IndicialData:
     return IndicialData(
         n=n, gamma=gamma, eigenvalues=lam, nu=nu,
         mu_plus=mu_plus, mu_minus=mu_minus, gamma_bar=gamma_bar,
-        non_selfadjoint_modes=lam[nu < 1.0],
         essentially_selfadjoint=(n >= 3),
     )
 

@@ -181,6 +181,8 @@ class TestExitCodes:
          "--set", "nu.tau_min=10", "--set", "nu.tau_max=0.01"],
         ["nu", "--preset", "sphere_suspension", "--N", "200",
          "--set", "nu.tau_min=0"],
+        ["flow", "--preset", "perturbed_cone", "--set", "flow.drift_bound=0"],
+        ["flow", "--preset", "perturbed_cone", "--set", "flow.drift_bound=-1"],
     ])
     def test_usage_error_is_one_line(self, tmp_path, capsys, args):
         # flags are --set shorthands: validated like the config, and a

@@ -39,6 +39,7 @@ class TestBesselI:
         assert abs(bessel_i(1.0, 2.0) - float(mpmath.besseli(1, 2))) < 1e-14
 
     def test_against_scipy_across_branches(self):
+        # only the large-z entries (z > 30, 4 nu^2 <= z) are not ive itself
         rng = np.random.default_rng(0)
         for nu in (0.0, 0.5, 1.0, 2.0, 3.5, 7.0, 15.5, 40.0):
             z = np.concatenate([rng.uniform(0.0, 30.0, 40),
@@ -52,6 +53,31 @@ class TestBesselI:
             for z in (40.0, 120.0, 800.0):
                 exact = float(mpmath.besseli(nu, z) * mpmath.exp(-z))
                 assert abs(bessel_i(nu, z, scaled=True) - exact) < 1e-12 * exact
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 3.5, 12.0, 40.0, 400.0])
+    def test_against_mpmath_where_ive_answers(self, nu):
+        """z <= 30, and the range 30 < z < 4 nu^2 where the large-z
+        expansion does not hold; an entry that underflows to 0 must be 0."""
+        z = [1e-8, 0.5, 5.0, 29.9]
+        if 4.0 * nu * nu > 30.0:
+            z += [np.nextafter(30.0, np.inf), np.nextafter(4.0 * nu * nu, 0.0),
+                  *np.geomspace(30.0, 4.0 * nu * nu, 6)[1:-1]]
+        vals = bessel_i(nu, np.array(z), scaled=True)
+        for zi, val in zip(z, vals):
+            with mpmath.workdps(30):
+                exact = float(mpmath.besseli(nu, zi) * mpmath.exp(-zi))
+            assert abs(val - exact) <= 1e-12 * exact, (zi, val, exact)
+
+    def test_huge_arguments_take_the_expansion(self):
+        """ive returns NaN above z ~ 1.08e9; the large-z expansion does not."""
+        z = np.array([1e9, 1e12])
+        vals = bessel_i(np.arange(401.0), z, scaled=True)
+        assert np.all(np.isfinite(vals))
+        for nu in (0, 1, 400):
+            for zi, val in zip(z, vals[nu]):
+                with mpmath.workdps(30):
+                    exact = float(mpmath.besseli(nu, zi) * mpmath.exp(-zi))
+                assert abs(val - exact) <= 1e-14 * exact, (nu, zi)
 
     def test_array_matches_scalar_calls_exactly(self):
         # the large-z expansion stops each entry on its own last term, so
