@@ -39,79 +39,79 @@ def _parse_bool(s) -> bool:
     return str(s).strip().lower() in ("1", "true", "yes", "on")
 
 
-# section -> key -> (parser, default).  The documented configuration schema;
-# anything outside it is a fatal unknown-key error.
+# the most grid nodes: one lambda solve at N = 100000 takes 7 s and 110 MB
+MAX_NODES = 100_000
+
+# section -> key -> (parser, default[, interval]); a key outside this schema
+# is a fatal error.  The interval holds a numeric key's valid values: "[", "]"
+# include an end, "(", ")" exclude it, and an open finite lower end is 0.
 CONFIG_SCHEMA = {
     "run": {
         "subcommand": (str, ""),
-        "seed": (int, 0),
+        "seed": (int, 0, "[0, inf)"),
         "output_dir": (str, "out"),
         "svg": (_parse_bool, False),
     },
     "grid": {
-        "N": (int, 2000),
-        "p": (float, 2.0),
-        "L": (float, 1.0),
+        "N": (int, 2000, f"[{geometry.MIN_NODES}, {MAX_NODES}]"),
+        "p": (float, 2.0, "[1, 10]"),
+        "L": (float, 1.0, "[1e-6, 1e6]"),
     },
     "metric": {
         "preset": (str, "flat_cone"),
         "link": (str, "S3"),
-        "k_max": (int, 12),
-        "cone_factor": (float, 1.0),
-        "radius": (float, 1.0),
-        "amplitude": (float, 0.01),
-        "exponent": (float, 2.0),
-        "cutoff": (float, 0.0),
+        "k_max": (int, 12, "[1, 100000]"),
+        "cone_factor": (float, 1.0, "[1e-6, 1e6]"),
+        "radius": (float, 1.0, "[1e-6, 1e6]"),
+        "amplitude": (float, 0.01, "[-1e6, 1e6]"),
+        "exponent": (float, 2.0, "[0.1, inf)"),
+        "cutoff": (float, 0.0, "(-inf, inf)"),
         "path": (str, ""),
-        "gamma": (float, 1.0),
+        "gamma": (float, 1.0, "(0, inf)"),
     },
     "tolerances": {
-        "el_residual": (float, 1e-8),
-        "constraint": (float, 1e-12),
-        "monotonicity": (float, 1e-7),
-        "heat_error": (float, 1e-8),
-        "fit_order": (float, 1.8),
+        "el_residual": (float, 1e-8, "(0, inf)"),
+        "constraint": (float, 1e-12, "(0, inf)"),
+        "monotonicity": (float, 1e-7, "(0, inf)"),
+        "heat_error": (float, 1e-8, "(0, inf)"),
+        "fit_order": (float, 1.8, "(0, inf)"),
     },
     "mu": {
-        "tau": (float, 0.5),
+        "tau": (float, 0.5, "[1e-50, 1e50]"),
         "variant": (str, "minus"),
     },
     "nu": {
         "variant": (str, "minus"),
-        "tau_min": (float, 1e-3),
-        "tau_max": (float, 1e3),
+        "tau_min": (float, 1e-3, "[1e-50, 1e50]"),
+        "tau_max": (float, 1e3, "[1e-50, 1e50]"),
     },
     "flow": {
-        "t_end": (float, 0.004),
+        "t_end": (float, 0.004, "(0, inf)"),
         "normalization": (str, "steady"),
         "entropy": (str, "auto"),
-        "samples": (int, 55),
-        "cfl": (float, 0.4),
+        "samples": (int, 55, "[1, 1000]"),
+        "cfl": (float, 0.4, "(0, 1)"),
         "reference": (str, "initial"),
-        "drift_bound": (float, 1e-3),
+        "drift_bound": (float, 1e-3, "(0, inf)"),
     },
     "heat": {
-        "t_min": (float, 0.01),
-        "t_max": (float, 1.0),
-        "n_samples": (int, 100),
+        "t_min": (float, 0.01, "[1e-20, inf)"),
+        "t_max": (float, 1.0, "[1e-20, inf)"),
+        "n_samples": (int, 100, "[1, 100000]"),
     },
     "mapping": {
-        "exponent": (float, 3.0),
+        "exponent": (float, 3.0, "(0, inf)"),
     },
     "convergence": {
-        "base_N": (int, 250),
-        "refinements": (int, 3),
+        "base_N": (int, 250, f"[{geometry.MIN_NODES}, {MAX_NODES}]"),
+        "refinements": (int, 3, "[2, 12]"),
     },
 }
 
 
 def _default_config() -> dict:
-    return {sec: {k: default for k, (_, default) in keys.items()}
+    return {sec: {k: spec[1] for k, spec in keys.items()}
             for sec, keys in CONFIG_SCHEMA.items()}
-
-
-def _all_keys() -> list[str]:
-    return [f"{sec}.{k}" for sec, keys in CONFIG_SCHEMA.items() for k in keys]
 
 
 def _set_value(cfg: dict, section: str, key: str, raw) -> None:
@@ -120,18 +120,31 @@ def _set_value(cfg: dict, section: str, key: str, raw) -> None:
         hint = f"; nearest valid section: {near[0]!r}" if near else ""
         raise ConfigError(f"unknown config section {section!r}{hint}")
     if key not in CONFIG_SCHEMA[section]:
-        near = difflib.get_close_matches(
-            f"{section}.{key}", _all_keys(), n=1)
+        near = difflib.get_close_matches(f"{section}.{key}", [
+            f"{s}.{k}" for s, keys in CONFIG_SCHEMA.items() for k in keys], n=1)
         hint = f"; nearest valid key: {near[0]!r}" if near else ""
         raise ConfigError(f"unknown config key {section}.{key!r}{hint}")
-    parse = CONFIG_SCHEMA[section][key][0]
+    parse, _, *interval = CONFIG_SCHEMA[section][key]
     try:
         val = parse(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})")
     if isinstance(val, float) and not math.isfinite(val):
         raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+    if interval:
+        _check_interval(f"{section}.{key}", val, *interval)
     cfg[section][key] = val
+
+
+def _check_interval(name: str, val, interval: str) -> None:
+    """Reject a value outside the key's interval, naming the key."""
+    lo, hi = interval[1:-1].split(", ")
+    if val < float(lo) or (interval[0] == "(" and val == float(lo)):
+        raise ConfigError(f"{name} must be positive" if interval[0] == "("
+                          else f"{name} must be at least {lo}")
+    if val > float(hi) or (interval[-1] == ")" and val == float(hi)):
+        word = "below" if interval[-1] == ")" else "at most"
+        raise ConfigError(f"{name} must be {word} {hi}")
 
 
 def parse_config(path: str | None = None,
@@ -158,33 +171,18 @@ def parse_config(path: str | None = None,
 
 
 def _validate(cfg: dict) -> None:
-    for key, val in cfg["tolerances"].items():
-        if val <= 0:
-            raise ConfigError(f"tolerances.{key} must be positive")
-    for key, least in (("grid.N", geometry.MIN_NODES),
-                       ("convergence.base_N", geometry.MIN_NODES),
-                       ("heat.n_samples", 1), ("flow.samples", 1)):
-        section, name = key.split(".")
-        if cfg[section][name] < least:
-            raise ConfigError(f"{key} must be at least {least}")
-    h = cfg["heat"]
-    if not 0 < h["t_min"] <= h["t_max"]:
-        raise ConfigError("heat needs 0 < t_min <= t_max")
-    if not 0 < cfg["nu"]["tau_min"] <= cfg["nu"]["tau_max"]:
-        raise ConfigError("nu needs 0 < tau_min <= tau_max")
-    if cfg["flow"]["drift_bound"] <= 0:
-        raise ConfigError("flow.drift_bound must be positive")
+    """The rules that involve two keys; one key's range is in the schema."""
+    for sec, lo, hi in (("heat", "t_min", "t_max"),
+                        ("nu", "tau_min", "tau_max")):
+        if cfg[sec][lo] > cfg[sec][hi]:
+            raise ConfigError(f"{sec}.{lo} must be at most {sec}.{hi}")
+    c = cfg["convergence"]
+    if c["base_N"] * 2 ** c["refinements"] > MAX_NODES:
+        raise ConfigError("convergence.base_N * 2**convergence.refinements "
+                          f"must be at most {MAX_NODES}")
     if cfg["metric"]["path"] and cfg["metric"]["preset"] not in ("", "file"):
         raise ConfigError(
             "metric.path conflicts with metric.preset; use preset = file")
-
-
-def _render_value(val) -> str:
-    if isinstance(val, bool):
-        return str(val)
-    if isinstance(val, float):
-        return repr(val)  # exact float round-trip
-    return str(val)
 
 
 def render_config(cfg: dict) -> str:
@@ -193,7 +191,7 @@ def render_config(cfg: dict) -> str:
     for sec in sorted(cfg):
         lines.append(f"[{sec}]")
         for key in sorted(cfg[sec]):
-            lines.append(f"{key} = {_render_value(cfg[sec][key])}")
+            lines.append(f"{key} = {cfg[sec][key]}")
         lines.append("")
     return "\n".join(lines)
 
@@ -486,8 +484,6 @@ def cmd_mapping(cfg: dict) -> dict:
 
 def cmd_convergence(cfg: dict) -> dict:
     c = cfg["convergence"]
-    if c["refinements"] < 2:
-        raise ConfigError("convergence needs at least 2 refinements")
     Ns = [c["base_N"] * 2**k for k in range(c["refinements"] + 1)]
     values = []
     for N in Ns:

@@ -256,9 +256,9 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         cf = fitted_cone_factor(b)
         if abs(cf - cf0) > cfg.cone_drift_bound * max(abs(cf0), 1e-300):
             raise FlowError(f"cone-condition drift beyond bound at t = {t:.6g}")
-        if t + 1e-12 >= next_sample or step == n_steps - 1:
+        if t + 1e-12 * cfg.t_end >= next_sample or step == n_steps - 1:
             trajectory.append(diagnostics(t, metric))
-            while next_sample <= t + 1e-12:
+            while next_sample <= t + 1e-12 * cfg.t_end:
                 next_sample += cfg.sample_period
     return trajectory
 

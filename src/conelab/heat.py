@@ -228,6 +228,8 @@ def _far_field(n: int, nu: float, t: float, x, xq, g, split) -> np.ndarray:
 def _near_field(n: int, nu: float, t: float, x, xq, g, lo, count) -> np.ndarray:
     """Each row's sum of the kernel times g over its near band
     xq[lo_i : lo_i + count_i]; a row with count_i = 0 sums nothing."""
+    if not count.any():
+        return np.zeros(x.size)
     i = np.repeat(np.arange(x.size), count)
     j = np.arange(i.size) + (lo - np.cumsum(count) + count)[i]
     near = cone_kernel_mode(n, nu, t, x[i], xq[j]) * g[j]

@@ -3,11 +3,15 @@
 import json
 import math
 import os
+import re
+import time
+import warnings
 
 import pytest
 
 from conelab import cli, entropy, flow, geometry, spectral
 from conelab.cli import (
+    CONFIG_SCHEMA,
     ConfigError,
     EXIT_OK,
     EXIT_OPERATIONAL,
@@ -197,8 +201,8 @@ class TestExitCodes:
         ["nu", "--set", "nu.tau_min=1e-300"],
     ])
     def test_tau_out_of_range_is_one_line(self, tmp_path, capsys, args):
-        # (4 pi tau)^{-m/2} overflows a float: the message names tau, not
-        # the errno tuple of Python's OverflowError
+        # below the configured range of tau: the message names tau, not the
+        # errno tuple of the overflow of (4 pi tau)^{-m/2}
         args = [*args, "--preset", "sphere_suspension", "--N", "200",
                 "--output-dir", "t"]
         assert main(args) == EXIT_OPERATIONAL
@@ -273,6 +277,81 @@ class TestExitCodes:
         rep = _report(tmp_path, "p")
         assert rep["pass"] is False
         assert rep["el_residual"] > 1e-30
+
+
+_S4 = ["metric.preset=sphere_suspension", "grid.N=200"]
+_S4_FLOW = ["metric.preset=sphere_suspension", "grid.N=100",
+            f"metric.radius={math.sqrt(3.0)!r}", "flow.normalization=shrink",
+            "flow.t_end=0.002", "flow.samples=4"]
+_S4_CONVERGENCE = [*_S4, "convergence.base_N=40", "convergence.refinements=2"]
+# key or section -> a cheap subcommand that reads the key, and its settings
+_SWEEP_RUNS = {
+    "run": ("heat-check", ["heat.n_samples=10"]),
+    "grid": ("lambda", ["grid.N=200"]),
+    "metric": ("lambda", ["metric.preset=perturbed_cone", "grid.N=200"]),
+    "metric.k_max": ("link-check", []),
+    "metric.cone_factor": ("lambda", ["grid.N=200"]),
+    "metric.gamma": ("lambda", ["grid.N=200"]),
+    "metric.radius": ("lambda", _S4),
+    "tolerances": ("lambda", _S4),
+    "tolerances.monotonicity": ("flow", _S4_FLOW),
+    "tolerances.heat_error": ("heat-check", ["heat.n_samples=10"]),
+    "tolerances.fit_order": ("convergence", _S4_CONVERGENCE),
+    "mu": ("mu", _S4),
+    "nu": ("nu", ["metric.preset=sphere_suspension", "grid.N=120"]),
+    "flow": ("flow", _S4_FLOW),
+    "heat": ("heat-check", ["heat.n_samples=10"]),
+    "mapping": ("mapping", []),
+    "convergence": ("convergence", _S4_CONVERGENCE),
+}
+_NUMERIC_KEYS = [f"{sec}.{key}" for sec, keys in CONFIG_SCHEMA.items()
+                 for key, spec in keys.items() if spec[0] in (int, float)]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e-300", "1e300"])
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+def test_extreme_value_ends_cleanly(tmp_path, capsys, key, value):
+    """Every numeric key at an extreme value ends in exit 0, 1 or 2 within
+    10 s and without a warning; exit 1 prints one line, and a value that
+    parse_config rejects is rejected by a message naming its key."""
+    sub, sets = _SWEEP_RUNS.get(key) or _SWEEP_RUNS[key.split(".")[0]]
+    sets = [*sets, f"{key}={value}"]
+    try:
+        parse_config(overrides=sets)
+    except ConfigError as exc:
+        assert key in str(exc)
+    args = [sub, "--output-dir", "x", *(a for s in sets for a in ("--set", s))]
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    assert time.perf_counter() - start < 10
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (EXIT_OK, EXIT_OPERATIONAL, EXIT_PROPERTY)
+    if code == EXIT_OPERATIONAL:
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("item", [
+    f"grid.N={10**9}", f"convergence.base_N={10**9}",
+    "convergence.refinements=60", f"metric.k_max={10**9}",
+    f"heat.n_samples={10**9}", f"flow.samples={10**9}", "run.seed=-1"])
+def test_out_of_range_value_rejected_by_parse_config(item):
+    # on parse_config only: run, the sizes would take unbounded time or memory
+    key = item.split("=")[0]
+    with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
+        parse_config(overrides=[item])
+
+
+def test_convergence_finest_grid_within_grid_bound():
+    # 250 * 2**12 nodes exceeds grid.N's bound; 16 * 2**12 does not
+    with pytest.raises(ConfigError, match=re.escape(
+            "convergence.base_N * 2**convergence.refinements must be at "
+            "most 100000")):
+        parse_config(overrides=["convergence.refinements=12"])
+    cfg = parse_config(overrides=["convergence.base_N=16",
+                                  "convergence.refinements=12"])
+    assert cfg["convergence"]["refinements"] == 12
 
 
 S4 = ["--preset", "sphere_suspension", "--link", "S3"]

@@ -182,6 +182,13 @@ class TestMu:
         with pytest.raises(ValueError):
             compute_mu(s4_fine, -0.1)
 
+    @pytest.mark.parametrize("tau", [1e-300, 1e300])
+    def test_tau_without_a_finite_scale_factor_rejected(self, s4_fine, tau):
+        # (4 pi tau)^{-m/2} overflows or underflows: the message names tau,
+        # not the errno tuple of Python's OverflowError
+        with pytest.raises(ValueError, match=r"tau = .* out of range"):
+            compute_mu(s4_fine, tau)
+
 
 class TestNu:
     def test_shrinker_optimal_tau_on_sphere(self, nu_minus_s4):

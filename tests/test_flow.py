@@ -224,6 +224,17 @@ class TestFixedPointRuns:
             assert drift <= 1e-8 * cfg.t_end
 
 
+    def test_tiny_t_end_ends_with_two_samples(self, s3):
+        # the sample clock's slack is relative to t_end; an absolute 1e-12
+        # took 1e-12 / sample_period passes to catch up, 5.5e9 here
+        grid = RadialGrid.graded(200, 2.0, p=1.0)
+        met = perturbed_cone(s3, grid, amplitude=0.01, exponent=2.0,
+                             cutoff=0.7)
+        cfg = FlowConfig(t_end=1e-20, reference=flat_cone(s3, grid),
+                         sample_period=1e-20 / 55)
+        assert [s.t for s in run_flow(met, cfg)] == [0.0, 1e-20]
+
+
 class TestMonotonicity:
     def test_perturbed_cone_lambda_increases(self, s3):
         """Conically perturbed flat cone flows back toward the cone with

@@ -90,13 +90,15 @@ class TestBesselI:
     @pytest.mark.parametrize("scaled", [True, False])
     def test_orders_axis_rows_match_scalar_calls(self, scaled):
         """Row k of an array of orders is bessel_i(nu[k], z), bit for bit,
-        over z = 0, series, Debye and large-z entries."""
+        over z = 0 and over entries that take ive or the large-z expansion
+        (z > 30 and 4 nu^2 <= z), each by its own (nu, z)."""
         rng = np.random.default_rng(5)
         z = np.concatenate([[0.0, 1e-300, 30.0, np.nextafter(30.0, np.inf)],
                             rng.uniform(0.0, 30.0, 30),
                             rng.uniform(30.0, 200.0, 30),
                             rng.uniform(200.0, 4e4, 20)])
-        # unsorted orders: rows leave the series in no particular order
+        # sorted and unsorted orders: each row switches to the large-z
+        # expansion at its own z
         for orders in (np.arange(120.0),
                        np.array([40.0, 0.0, 100.0, 3.5, 0.5, 15.5, 1.0, 7.0,
                                  2.0])):
@@ -417,7 +419,8 @@ class TestHeatSup:
 
     def test_no_near_field_for_the_mapping_sup_on_s3(self, s3, monkeypatch):
         """For x^{-3} on S^3 the sup sits at the first node, a row with no
-        near band, at every one of mapping's times."""
+        near band, at every one of mapping's times, and with no band left
+        the kernel is not called at all."""
         points = []
         kernel = heat.cone_kernel_mode
         monkeypatch.setattr(heat, "cone_kernel_mode", lambda n, nu, t, x, y: (
@@ -426,7 +429,7 @@ class TestHeatSup:
         f = lambda y: y ** -3.0 * geometry.smooth_cutoff(y, 0.25, 0.5)
         for t in self.T_MAPPING:
             heat_sup(s3, t, f, grid, 2)
-        assert sum(points) == 0
+        assert points == []
 
 
 class TestTipClassification:
