@@ -33,11 +33,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import geometry, spectral
 from .geometry import ConelabError, RadialMetric, volume_form
-from .spectral import LambdaProblem
+from .spectral import LambdaProblem, solve_banded
 
 
 class NewtonError(ConelabError):
@@ -250,8 +249,9 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     Requires lambda(g) > 0 for the shrinker variant and lambda(g) < 0 for
     the expander variant; otherwise the optimum over tau escapes to the
     boundary and the quantity is not defined.  Coarse scan on a log-tau
-    grid, then refinement by scipy's bounded scalar minimizer (the one the
-    tip fits use), warm-starting each solve from the neighboring optimizer.
+    grid, then refinement on the scan's bracket by `spectral.bounded_minimize`
+    (Brent's bounded method, the one the tip fits use), warm-starting each
+    solve from the neighboring optimizer.
     """
     sign = _sign(variant)  # minimize sign * mu
     lam = compute_lambda(metric).value
@@ -280,11 +280,7 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     else:
         lo, hi = lts[k - 1], lts[k + 1]
 
-    # imported on first use: scipy.optimize costs about 20 MB of memory
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(mu_at, bounds=(lo, hi), method="bounded",
-                          options={"xatol": _LOG_TAU_TOL})
-    best = cache[res.x]
+    best = cache[spectral.bounded_minimize(mu_at, lo, hi, _LOG_TAU_TOL)]
     order = np.argsort(list(cache.keys()))
     taus = np.exp(np.array(list(cache.keys()))[order])
     mus = np.array([cache[k].value for k in cache])[order]

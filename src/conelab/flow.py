@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
 
 from . import entropy, geometry, link as linkmod, spectral
 from .geometry import ConelabError, RadialMetric, warped_ricci
+from .spectral import solve_banded
 
 
 class FlowError(ConelabError):
@@ -187,10 +187,11 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     live = ~frozen
 
     dx_live = np.diff(grid.x)[first_live:last_live]
-    dt = cfg.cfl * float(np.min(dx_live)) ** 2
-    n_steps = int(math.ceil(cfg.t_end / dt))
-    if n_steps > 5_000_000:
-        raise FlowError(f"step-size collapse: {n_steps} steps required")
+    steps = cfg.t_end / (cfg.cfl * float(np.min(dx_live)) ** 2)
+    if steps > 5_000_000:
+        raise FlowError(f"step-size collapse: {steps:.3g} steps required at "
+                        f"flow.cfl = {cfg.cfl:g}, flow.t_end = {cfg.t_end:g}")
+    n_steps = math.ceil(steps)
     dt = cfg.t_end / n_steps
 
     metric = initial

@@ -17,7 +17,7 @@ interpolation so the grid need not be uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -210,11 +210,6 @@ class RadialMetric:
         g = self.grid
         return tuple(_read_only(d(u)) for d in (g.d1, g.d2)
                      for u in (self.a, self.b))
-
-    def scaled(self, c2: float) -> "RadialMetric":
-        """The metric c2 * g, realized as (a, b) -> (c a, c b) with c = sqrt(c2)."""
-        c = np.sqrt(c2)
-        return replace(self, a=c * self.a, b=c * self.b)
 
 
 # -- curvature ----------------------------------------------------------------

@@ -454,7 +454,8 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     """
     n = link.n
     if not (0 < N_exp <= n):
-        raise ValueError("need 0 < N <= n")
+        raise ValueError(f"mapping.exponent N = {N_exp:g} must satisfy "
+                         f"0 < N <= n = {n}, the link dimension")
     grid = RadialGrid.graded(800, 1.0, p=2.0)
     # short times only: once the diffusion length sqrt(t) reaches the
     # cutoff scale the sup crosses over to the dimensional t^{-m/2} decay

@@ -16,10 +16,10 @@ extension at the tip.  The mass matrix is the lumped (diagonal) volume form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .geometry import ConelabError, RadialGrid, RadialMetric, volume_form
 from . import geometry
@@ -27,6 +27,12 @@ from . import geometry
 
 class EigensolverError(ConelabError):
     pass
+
+
+def solve_banded(l_and_u, ab, b):
+    """scipy.linalg.solve_banded, with scipy.linalg imported on the first solve."""
+    from scipy import linalg
+    return linalg.solve_banded(l_and_u, ab, b)
 
 
 @dataclass(frozen=True)
@@ -245,21 +251,84 @@ def _lambda_problem(metric: RadialMetric) -> LambdaProblem:
 FIT_EXPONENT_SENTINEL = np.inf
 
 
+def bounded_minimize(f, lo: float, hi: float, xatol: float) -> float:
+    """Brent's bounded minimization of f on [lo, hi], scipy 1.17.1's
+    `_minimize_scalar_bounded` op for op (constants, stop rule, 500-evaluation
+    cap), so f sees the same abscissae; returns the best of them."""
+    a, b = float(lo), float(hi)
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError(f"bounds [{lo!r}, {hi!r}] must be finite and ordered")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    while num < 500:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(xf - xm) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:
+            # parabola through the three best points, kept if acceptable
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            parabolic = (abs(p) < abs(0.5 * q * r)
+                         and q * (a - xf) < p < q * (b - xf))
+        if parabolic:
+            rat = (p + 0.0) / q
+            x = xf + rat
+            if (x - a) < tol2 or (b - x) < tol2:
+                rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+        else:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+    return xf
+
+
 def fit_power_model(x: np.ndarray, u: np.ndarray,
                     bracket: tuple[float, float]) -> tuple[float, float, float]:
     """Fit u ~ c0 + c1 x^e by a bounded search over e in bracket on the rms
     residual of the linear least-squares solve; returns (c0, e, rms)."""
-    # imported on first use: scipy.optimize costs about 20 MB of memory
-    from scipy.optimize import minimize_scalar
 
     def solve(e):
         A = np.column_stack([np.ones_like(x), x**e])
         coef = np.linalg.lstsq(A, u, rcond=None)[0]
         return float(coef[0]), float(np.sqrt(np.mean((u - A @ coef) ** 2)))
 
-    res = minimize_scalar(lambda e: solve(e)[1], bounds=bracket,
-                          method="bounded", options={"xatol": 1e-8})
-    e = float(res.x)
+    e = bounded_minimize(lambda e: solve(e)[1], *bracket, 1e-8)
     c0, rms = solve(e)
     return c0, e, rms
 

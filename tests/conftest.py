@@ -14,6 +14,12 @@ def total_volume(metric):
     return float(geometry.volume_form(metric).sum())
 
 
+def scaled(metric, c2):
+    """The metric c2 * g, realized as (a, b) -> (c a, c b) with c = sqrt(c2)."""
+    c = np.sqrt(c2)
+    return replace(metric, a=c * metric.a, b=c * metric.b)
+
+
 def perturb_metric(metric, h_rad, h_link, eps):
     """g + eps h for a radial 2-tensor h = h_rad dx^2 + h_link b^2 g_F."""
     a_new = np.sqrt(metric.a**2 + eps * h_rad)

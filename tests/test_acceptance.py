@@ -27,7 +27,7 @@ from conelab.geometry import (
     volume_form,
 )
 
-from conftest import lie_derivative_tensor, perturb_metric
+from conftest import lie_derivative_tensor, perturb_metric, scaled
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -93,11 +93,11 @@ def test_03_lambda_round_sphere(s3, s4_lambda):
 
 
 def test_04_scaling_identities(s3, s4_fine, s4_lambda):
-    lam4 = entropy.compute_lambda(s4_fine.scaled(4.0)).value
+    lam4 = entropy.compute_lambda(scaled(s4_fine, 4.0)).value
     rel = abs(4.0 * lam4 - s4_lambda.value) / abs(s4_lambda.value)
     met = sphere_suspension(s3, 800, radius=1.0, p=2.0)
     n1 = entropy.compute_nu(met, "minus")
-    n2 = entropy.compute_nu(met.scaled(2.0), "minus")
+    n2 = entropy.compute_nu(scaled(met, 2.0), "minus")
     nu_diff = abs(n2.value - n1.value)
     _verdict(4, "lambda and nu scaling identities",
              rel < 1e-6 and nu_diff < 1e-5,

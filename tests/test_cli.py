@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 
@@ -436,3 +438,50 @@ def test_tip_fit_runs_only_in_the_report_layer(s3, monkeypatch):
     traj = flow.run_flow(geometry.flat_cone(s3, grid), cfg)
     assert len(traj) >= 4
     assert len(calls) == 1
+
+
+def test_step_collapse_names_cfl_and_t_end(capsys):
+    for key, value in (("flow.t_end", "1e300"), ("flow.cfl", "1e-300")):
+        args = ["flow", "--output-dir", "f",
+                *(a for s in [*_S4_FLOW, f"{key}={value}"]
+                  for a in ("--set", s))]
+        assert main(args) == EXIT_OPERATIONAL
+        (line,) = capsys.readouterr().err.splitlines()
+        m = re.fullmatch(r"conelab: error: step-size collapse: (\S+) steps "
+                         r"required at flow\.cfl = (\S+), flow\.t_end = (\S+)",
+                         line)
+        assert m, line
+        assert len(m.group(1)) <= 9
+        assert float(m.group(2 if key == "flow.cfl" else 3)) == float(value)
+
+
+def test_mapping_exponent_message_names_key_and_link_dimension(capsys):
+    assert main(["mapping", "--set", "mapping.exponent=1e300",
+                 "--output-dir", "m"]) == EXIT_OPERATIONAL
+    assert capsys.readouterr().err.splitlines() == [
+        "conelab: error: mapping.exponent N = 1e+300 must satisfy "
+        "0 < N <= n = 3, the link dimension"]
+
+
+def test_heat_ops_load_neither_scipy_optimize_nor_scipy_linalg(tmp_path):
+    """heat-check and mapping never solve a banded system and no op runs
+    scipy's minimizer, so a fresh process leaves both modules unloaded."""
+    script = (
+        "import sys\n"
+        "from conelab import cli\n"
+        "assert cli.main(['heat-check', '--set', 'heat.n_samples=10',\n"
+        "                 '--output-dir', 'h']) == 0\n"
+        "assert cli.main(['mapping', '--set', 'mapping.exponent=1',\n"
+        "                 '--output-dir', 'm']) == 0\n"
+        "loaded = {'scipy.optimize', 'scipy.linalg'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "assert cli.main(['nu', '--preset', 'sphere_suspension', '--N', '120',\n"
+        "                 '--output-dir', 'n']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "CONELAB_OUTPUT_ROOT": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

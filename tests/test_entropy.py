@@ -22,7 +22,8 @@ from conelab.geometry import (
     volume_form,
 )
 
-from conftest import lie_derivative_tensor, perturb_metric, total_volume
+from conftest import (lie_derivative_tensor, perturb_metric, scaled,
+                      total_volume)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ class TestLambda:
         assert s4_lambda.constraint_residual < 1e-12
 
     def test_scaling(self, s4_fine, s4_lambda):
-        lam4 = compute_lambda(s4_fine.scaled(4.0)).value
+        lam4 = compute_lambda(scaled(s4_fine, 4.0)).value
         assert abs(4.0 * lam4 - s4_lambda.value) < 1e-10 * abs(s4_lambda.value)
 
     def test_expander_side_value(self, hyperbolic_metric):
@@ -119,8 +120,8 @@ class TestWEntropy:
         sm = (4.0 * math.pi * tau) ** (-m / 2.0)
         u = u / math.sqrt(sm * float(u @ (w * u)))
         w1 = evaluate_w(s4_fine, u, tau, "minus")
-        w2 = evaluate_w(s4_fine.scaled(c), u, c * tau, "minus")
-        for met, t in ((s4_fine, tau), (s4_fine.scaled(c), c * tau)):
+        w2 = evaluate_w(scaled(s4_fine, c), u, c * tau, "minus")
+        for met, t in ((s4_fine, tau), (scaled(s4_fine, c), c * tau)):
             sm_t = (4.0 * math.pi * t) ** (-m / 2.0)
             assert abs(sm_t * float(u @ (volume_form(met) * u)) - 1.0) < 1e-12
         assert abs(w1 - w2) < 1e-8
@@ -221,7 +222,7 @@ class TestNu:
     def test_scale_invariance(self, s3):
         met = sphere_suspension(s3, 800, radius=1.0, p=2.0)
         n1 = compute_nu(met, "minus")
-        n2 = compute_nu(met.scaled(2.0), "minus")
+        n2 = compute_nu(scaled(met, 2.0), "minus")
         assert abs(n2.value - n1.value) < 1e-5
         assert abs(n2.tau_star - 2.0 * n1.tau_star) < 1e-3 * n1.tau_star
 

@@ -4,20 +4,25 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import jv
 
-from conelab import entropy, geometry, link as linkmod
+from conelab import entropy, geometry, link as linkmod, spectral
+from conelab.heat import classify_tip_behavior
 from conelab.geometry import RadialGrid, flat_cone, perturbed_cone, sphere_suspension
 from conelab.spectral import (
     EigensolverError,
     RadialOperator,
     assemble_operator,
+    bounded_minimize,
     fit_asymptotics,
+    fit_power_model,
     indicial_exponents,
     rayleigh_quotient,
     solve_ground_state,
 )
+
+from conftest import scaled
 
 
 class TestIndicialExponents:
@@ -119,7 +124,7 @@ class TestGroundState:
     def test_scaling_identity(self, s3):
         met = sphere_suspension(s3, 400, radius=1.0, p=2.0)
         s1, _ = solve_ground_state(RadialOperator(met, q=1.0, c=4.0))
-        s2, _ = solve_ground_state(RadialOperator(met.scaled(4.0), q=1.0, c=4.0))
+        s2, _ = solve_ground_state(RadialOperator(scaled(met, 4.0), q=1.0, c=4.0))
         assert abs(4.0 * s2 - s1) < 1e-6 * abs(s1)
 
     def test_mode_monotonicity(self, s3):
@@ -184,3 +189,82 @@ class TestFitAsymptotics:
         g = RadialGrid.graded(50, 1.0, p=1.0)
         with pytest.raises(ValueError):
             fit_asymptotics(g.x, g, window=(0.9, 0.95))
+
+
+class TestBoundedMinimize:
+    """`bounded_minimize` evaluates f at the abscissae of scipy's bounded
+    `minimize_scalar`, in the same order and bit for bit, and returns its x."""
+
+    @staticmethod
+    def _assert_same_path(f, lo, hi, xatol):
+        ours, theirs = [], []
+
+        def recorded(seen):
+            return lambda x: seen.append(float(x).hex()) or f(x)
+
+        x = bounded_minimize(recorded(ours), lo, hi, xatol)
+        res = minimize_scalar(recorded(theirs), bounds=(lo, hi),
+                              method="bounded", options={"xatol": xatol})
+        assert len(ours) > 1
+        assert ours == theirs
+        assert type(x) is float and x.hex() == float(res.x).hex()
+        assert x.hex() in ours
+        return len(ours)
+
+    @staticmethod
+    def _objectives(monkeypatch, run):
+        """(f, lo, hi, xatol) of every bounded_minimize call made by run()."""
+        calls = []
+        real = spectral.bounded_minimize
+
+        def grab(f, lo, hi, xatol):
+            calls.append((f, lo, hi, xatol))
+            return real(f, lo, hi, xatol)
+
+        monkeypatch.setattr(spectral, "bounded_minimize", grab)
+        run()
+        monkeypatch.undo()
+        return calls
+
+    def test_power_fit_objective(self, monkeypatch):
+        x = np.geomspace(1e-3, 0.1, 60)
+        calls = self._objectives(
+            monkeypatch, lambda: fit_power_model(x, 2.0 + x**1.3, (1e-3, 4)))
+        assert [c[1:] for c in calls] == [(1e-3, 4, 1e-8)]
+        self._assert_same_path(*calls[0])
+
+    def test_both_tip_classification_brackets(self, monkeypatch):
+        x = np.geomspace(0.012, 0.1, 80)
+        calls = self._objectives(
+            monkeypatch, lambda: classify_tip_behavior(x, 3.0 + 0.5 / x))
+        assert [c[1:3] for c in calls] == [(-3.3, -0.25), (0.25, 3.0)]
+        for call in calls:
+            self._assert_same_path(*call)
+
+    def test_constant_function(self):
+        self._assert_same_path(lambda x: 7.0, 0.0, 1.0, 1e-8)
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_minimum_at_either_end(self, slope):
+        self._assert_same_path(lambda x: slope * x, -1.0, 2.0, 1e-8)
+
+    def test_several_minima(self):
+        self._assert_same_path(lambda x: math.sin(40.0 * x) + 0.1 * x,
+                               0.0, 3.0, 1e-12)
+
+    def test_evaluation_cap(self):
+        # at xatol = 0 the stop width shrinks with |x| towards the minimum
+        # at 0, so the search ends at the cap
+        assert self._assert_same_path(abs, -1.0, 2.0, 0.0) == 500
+
+    def test_parabola_in_log_tau_at_the_nu_tolerance(self):
+        lts = np.linspace(math.log(1e-3), math.log(1e3), entropy._N_SCAN)
+        target = math.log(1.0 / 6.0)
+        k = int(np.argmin(np.abs(lts - target)))
+        self._assert_same_path(lambda lt: (lt - target) ** 2, lts[k - 1],
+                               lts[k + 1], entropy._LOG_TAU_TOL)
+
+    def test_bounds_must_be_finite_and_ordered(self):
+        for lo, hi in ((1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="bounds"):
+                bounded_minimize(lambda x: x, lo, hi, 1e-8)
