@@ -25,7 +25,6 @@ from .geometry import (
 )
 from .spectral import (
     EigensolverError,
-    RadialOperator,
     fit_asymptotics,
     indicial_exponents,
     solve_ground_state,
@@ -60,7 +59,7 @@ __all__ = [
     "ConelabError", "RadialGrid", "RadialMetric", "flat_cone",
     "perturbed_cone", "sphere_suspension", "volume_form",
     "warped_ricci", "warped_scal",
-    "EigensolverError", "RadialOperator", "fit_asymptotics",
+    "EigensolverError", "fit_asymptotics",
     "indicial_exponents", "solve_ground_state",
     "bessel_i", "cone_kernel_mode", "heat_apply", "heat_convolve",
     "mapping_exponent_report", "s1_plane_kernel_error",

@@ -209,8 +209,7 @@ def build_metric(cfg: dict) -> geometry.RadialMetric:
     preset = m["preset"] or ("file" if m["path"] else "flat_cone")
     if preset == "flat_cone":
         grid = geometry.RadialGrid.graded(g["N"], g["L"], p=g["p"])
-        return geometry.flat_cone(link, grid, cone_factor=m["cone_factor"],
-                                  gamma=m["gamma"])
+        return geometry.flat_cone(link, grid, cone_factor=m["cone_factor"])
     if preset == "sphere_suspension":
         return geometry.sphere_suspension(link, g["N"], radius=m["radius"],
                                           p=g["p"])
@@ -222,7 +221,7 @@ def build_metric(cfg: dict) -> geometry.RadialMetric:
     if preset == "file":
         if not m["path"]:
             raise ConfigError("metric.preset = file requires metric.path")
-        return geometry.metric_from_csv(link, m["path"], gamma=m["gamma"])
+        return geometry.metric_from_csv(link, m["path"])
     raise ConfigError(f"unknown metric preset {preset!r}")
 
 
@@ -361,7 +360,6 @@ def _mu_report_dict(rep: entropy.MuReport, grid: geometry.RadialGrid) -> dict:
     return {
         **_solution_fields(rep, grid),
         "tau": rep.tau, "variant": rep.variant,
-        "multiplier": rep.multiplier,
         "normalization_identity": rep.normalization_identity,
         "basin_values": list(rep.basin_values), "nonconvex": rep.nonconvex,
     }
@@ -414,8 +412,7 @@ def cmd_flow(cfg: dict) -> dict:
     reference = None
     if f["reference"] == "flat_cone":
         reference = geometry.flat_cone(metric.link, metric.grid,
-                                       cone_factor=cfg["metric"]["cone_factor"],
-                                       gamma=cfg["metric"]["gamma"])
+                                       cone_factor=cfg["metric"]["cone_factor"])
     elif f["reference"] != "initial":
         raise ConfigError("flow.reference must be 'initial' or 'flat_cone'")
     fconf = flow.FlowConfig(

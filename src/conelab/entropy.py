@@ -21,7 +21,7 @@ by one code path with a sign e (e = +1 shrinker, e = -1 expander):
 where A = K_4 + diag(scal w) is the assembled quadratic form of the
 lambda problem.  At any solution of the EL system the multiplier mu equals
 W_e(omega) identically (pair the EL equation with omega), so the reported
-entropy value and the reported multiplier agree to roundoff by construction.
+value is both the multiplier and the entropy.
 All quadratic forms reuse the finite element matrices of the eigensolver, so
 lambda(g) is exactly the discrete ground-state Rayleigh quotient.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, spectral
-from .geometry import ConelabError, RadialMetric, volume_form
+from .geometry import ConelabError, RadialMetric
 from .spectral import LambdaProblem, solve_banded
 
 
@@ -95,7 +95,6 @@ class MuReport:
     tau: float
     variant: str
     omega: np.ndarray
-    multiplier: float
     el_residual: float
     constraint_residual: float
     normalization_identity: float  # s_m int f e^{-f} dV; m/2 + e*value at optimal tau
@@ -219,8 +218,7 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
     f = -2.0 * np.log(u)
     ident = sm * float(np.sum(w * f * u * u))
     return MuReport(value=float(mu), tau=tau, variant=variant,
-                    omega=u, multiplier=float(mu),
-                    el_residual=el_res, constraint_residual=abs(g2),
+                    omega=u, el_residual=el_res, constraint_residual=abs(g2),
                     normalization_identity=ident,
                     basin_values=basin, nonconvex=nonconvex)
 
@@ -305,7 +303,7 @@ def first_variation_lambda(metric: RadialMetric, report: LambdaProblem,
     f = -2.0 * np.log(u)
     ric_rad, ric_link = geometry.warped_ricci(metric)
     hess_rad, hess_link = geometry.radial_hessian(f, metric)
-    w = volume_form(metric)
+    w = report.prob.mass
     n = metric.link.n
     integrand = (h_rad / metric.a**2 * (ric_rad + hess_rad)
                  + n * h_link * (ric_link + hess_link))

@@ -168,7 +168,6 @@ class RadialMetric:
     grid: RadialGrid
     a: np.ndarray
     b: np.ndarray
-    gamma: float = 1.0
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -185,8 +184,6 @@ class RadialMetric:
             raise ValueError("a must be positive")
         if np.any(b < 0) or np.any(b[:-1] <= 0):
             raise ValueError("b must be positive (b = 0 allowed only at the cap)")
-        if self.gamma <= 0:
-            raise ValueError("perturbation order gamma must be positive")
 
     @property
     def m(self) -> int:
@@ -289,13 +286,11 @@ def radial_hessian(f, metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
 
 # -- presets -------------------------------------------------------------------
 
-def flat_cone(link, grid: RadialGrid, cone_factor: float = 1.0,
-              gamma: float = 1.0) -> RadialMetric:
+def flat_cone(link, grid: RadialGrid, cone_factor: float = 1.0) -> RadialMetric:
     """Exact cone b = c x, a = 1 over the link."""
     return RadialMetric(
         link=link, grid=grid,
         a=np.ones(grid.N), b=cone_factor * grid.x,
-        gamma=gamma,
     )
 
 
@@ -303,14 +298,13 @@ def sphere_suspension(link, N: int, radius: float = 1.0, p: float = 1.0) -> Radi
     """Round sphere of the given radius as a suspension over a unit-sphere link.
 
     a = 1, b = r sin(x/r) on [0, pi r]; both poles are smooth for a unit
-    round link.
+    round link.  At the pole x = pi r the sine may round to a tiny negative
+    number, which is clipped to 0.
     """
     grid = RadialGrid.graded(N, np.pi * radius, p=p)
-    return RadialMetric(
-        link=link, grid=grid,
-        a=np.ones(grid.N), b=radius * np.sin(grid.x / radius),
-        gamma=2.0,
-    )
+    b = radius * np.sin(grid.x / radius)
+    b[-1] = max(b[-1], 0.0)
+    return RadialMetric(link=link, grid=grid, a=np.ones(grid.N), b=b)
 
 
 def perturbed_cone(link, grid: RadialGrid, amplitude: float,
@@ -326,7 +320,6 @@ def perturbed_cone(link, grid: RadialGrid, amplitude: float,
     return RadialMetric(
         link=link, grid=grid,
         a=np.ones(grid.N), b=x * (1.0 + pert),
-        gamma=exponent,
     )
 
 
@@ -337,7 +330,7 @@ def smooth_cutoff(x: np.ndarray, x_on: float, x_off: float) -> np.ndarray:
     return np.cos(0.5 * np.pi * t) ** 2
 
 
-def metric_from_csv(link, path: str, gamma: float = 1.0) -> RadialMetric:
+def metric_from_csv(link, path: str) -> RadialMetric:
     """Sampled metric from a CSV file with header columns x, a, b."""
     data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
     x = np.asarray(data["x"], dtype=float)
@@ -347,6 +340,5 @@ def metric_from_csv(link, path: str, gamma: float = 1.0) -> RadialMetric:
     grid = RadialGrid(x=x, L=float(x[-1]))
     return RadialMetric(link=link, grid=grid,
                         a=np.asarray(data["a"], dtype=float),
-                        b=np.asarray(data["b"], dtype=float),
-                        gamma=gamma)
+                        b=np.asarray(data["b"], dtype=float))
 

@@ -44,7 +44,6 @@ class IndicialData:
     eigenvalues: np.ndarray
     nu: np.ndarray
     mu_plus: np.ndarray
-    mu_minus: np.ndarray
     gamma_bar: float | None
     essentially_selfadjoint: bool
 
@@ -56,38 +55,13 @@ def indicial_exponents(link, gamma: float) -> IndicialData:
     lam = np.array(link.eigenvalues(include_zero=True), dtype=float)
     nu = np.sqrt(lam + ((n - 1) / 2.0) ** 2)
     mu_plus = -(n - 1) / 2.0 + nu
-    mu_minus = -(n - 1) / 2.0 - nu
     # mu_plus at lambda_1, the smallest nonzero link eigenvalue
     gamma_bar = min(gamma, mu_plus[lam > 0][0]) if np.any(lam > 0) else None
     return IndicialData(
         n=n, gamma=gamma, eigenvalues=lam, nu=nu,
-        mu_plus=mu_plus, mu_minus=mu_minus, gamma_bar=gamma_bar,
+        mu_plus=mu_plus, gamma_bar=gamma_bar,
         essentially_selfadjoint=(n >= 3),
     )
-
-
-@dataclass(frozen=True)
-class RadialOperator:
-    """Mode reduction of c*Lap + q*scal to the radial coordinate.
-
-    Acting on the lam_F-mode coefficient u(x):
-        (c / (a b^n)) * -d/dx((b^n / a) u') + (c lam_F / b^2 + q scal) u
-    with the spectrum-positive Laplacian convention.
-    """
-
-    metric: RadialMetric
-    q: float = 0.0
-    mode: float = 0.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.mode < 0:
-            raise ValueError("link mode eigenvalue must be >= 0")
-        if self.q != 0.0 and self.metric.link.n < 3:
-            raise ValueError(
-                "q != 0 requires link dimension n >= 3 (unique self-adjoint "
-                "extension regime); refusing the run"
-            )
 
 
 @dataclass
@@ -117,13 +91,26 @@ class AssembledProblem:
         return ab
 
 
-def assemble_operator(op: RadialOperator,
-                      dirichlet_outer: bool = False) -> AssembledProblem:
-    """Assemble the symmetric banded generalized eigenproblem (K, M)."""
-    metric = op.metric
+def assemble_operator(metric: RadialMetric, q: float = 0.0, mode: float = 0.0,
+                      c: float = 1.0, dirichlet_outer: bool = False,
+                      ) -> AssembledProblem:
+    """Assemble the symmetric banded generalized eigenproblem (K, M) of the
+    mode reduction of c*Lap + q*scal to the radial coordinate.
+
+    Acting on the lam_F-mode coefficient u(x), with lam_F = mode:
+        (c / (a b^n)) * -d/dx((b^n / a) u') + (c lam_F / b^2 + q scal) u
+    with the spectrum-positive Laplacian convention.
+    """
+    if mode < 0:
+        raise ValueError("link mode eigenvalue must be >= 0")
+    if q != 0.0 and metric.link.n < 3:
+        raise ValueError(
+            "q != 0 requires link dimension n >= 3 (unique self-adjoint "
+            "extension regime); refusing the run"
+        )
     # P1 stiffness of c * the Laplacian energy form, then the potential
     dens = metric.b ** metric.link.n / metric.a  # b^n / a
-    k_cell = (op.c * metric.link.vol_F * 0.5 * (dens[:-1] + dens[1:])
+    k_cell = (c * metric.link.vol_F * 0.5 * (dens[:-1] + dens[1:])
               / np.diff(metric.grid.x))
     diag = np.zeros(metric.grid.N)
     diag[:-1] += k_cell
@@ -131,11 +118,11 @@ def assemble_operator(op: RadialOperator,
     off = -k_cell
     w = volume_form(metric)
     pot = np.zeros(metric.grid.N)
-    if op.mode != 0.0:
+    if mode != 0.0:
         # b = 0 only at the pole of a cap, whose lumped mass is 0 too
-        pot += op.c * op.mode / np.where(metric.b > 0, metric.b, 1.0)**2
-    if op.q != 0.0:
-        pot += op.q * geometry.warped_scal(metric)
+        pot += c * mode / np.where(metric.b > 0, metric.b, 1.0)**2
+    if q != 0.0:
+        pot += q * geometry.warped_scal(metric)
     diag = diag + pot * w
     if dirichlet_outer:
         diag = diag[:-1].copy()
@@ -150,18 +137,13 @@ def rayleigh_quotient(prob: AssembledProblem, u) -> float:
     return float(u @ prob.matvec(u)) / float(u @ (prob.mass * u))
 
 
-def solve_ground_state(op: RadialOperator, dirichlet_outer: bool = False,
-                       ) -> tuple[float, np.ndarray]:
+def solve_ground_state(prob: AssembledProblem) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of (K, M) by shifted inverse iteration.
 
     Returns (sigma, u) with u M-normalized, sign-fixed positive and the
-    eigenresidual ||(K - sigma M) u|| / ||M u|| below 1e-8.
+    eigenresidual ||(K - sigma M) u|| / ||M u|| below 1e-8; with an outer
+    Dirichlet row the removed last node is padded back as 0.
     """
-    prob = assemble_operator(op, dirichlet_outer=dirichlet_outer)
-    return _inverse_iteration(prob)
-
-
-def _inverse_iteration(prob: AssembledProblem):
     N = prob.N
     w = prob.mass
     # shift strictly below the spectrum: Gershgorin row bound of the pencil
@@ -237,8 +219,20 @@ class LambdaProblem:
 
 
 def _lambda_problem(metric: RadialMetric) -> LambdaProblem:
-    prob = assemble_operator(RadialOperator(metric, q=1.0, c=4.0))
-    value, omega = _inverse_iteration(prob)
+    n = metric.link.n
+    if n >= 3:
+        # tip cone b = c x: scal ~ (scal_F - n(n-1) c^2) / (c x)^2, and the
+        # sharp Hardy bound 4 int u'^2 x^n >= (n-1)^2 int u^2 x^(n-2) leaves
+        # the functional unbounded below once c^2 > scal_F / (n-1)
+        c = float(metric.jet[1][0] / metric.a[0])
+        bound = metric.link.scal_F / (n - 1)
+        if c * c > bound:
+            raise ConelabError(
+                f"tip cone factor c = {c:.6g} exceeds the Hardy bound "
+                f"c^2 <= scal_F/(n-1) = {bound:.6g} at link dimension "
+                f"n = {n}: lambda is -infinity")
+    prob = assemble_operator(metric, q=1.0, c=4.0)
+    value, omega = solve_ground_state(prob)
     for shared in (prob.diag, prob.off, prob.mass, omega):
         shared.setflags(write=False)
     w = prob.mass

@@ -56,7 +56,7 @@ def hyperbolic_metric(s3):
     """b = sinh x cone over S^3: scal = -12, so lambda < 0 (expander side)."""
     grid = geometry.RadialGrid.graded(800, 1.5, p=2.0)
     return geometry.RadialMetric(link=s3, grid=grid, a=np.ones(grid.N),
-                                 b=np.sinh(grid.x), gamma=2.0)
+                                 b=np.sinh(grid.x))
 
 
 @pytest.fixture(scope="session")

@@ -143,11 +143,11 @@ def test_06_minimizer_asymptotics(perturbed_metric):
     # by the lambda_1 link-mode sector of the same operator 4 Lap + scal.
     metric = perturbed_metric
     link = metric.link
-    gamma = metric.gamma
+    gamma = 2.0  # the perturbation order of the perturbed_metric fixture
     gamma_bar = spectral.indicial_exponents(link, gamma).gamma_bar
     rep = entropy.compute_lambda(metric)
-    op1 = spectral.RadialOperator(metric, q=1.0, mode=link.lambda_1, c=4.0)
-    _, u1 = spectral.solve_ground_state(op1)
+    prob1 = spectral.assemble_operator(metric, q=1.0, mode=link.lambda_1, c=4.0)
+    _, u1 = spectral.solve_ground_state(prob1)
     _, e1, fr1 = spectral.fit_asymptotics(u1, metric.grid)
     _, e0, fr0 = spectral.fit_asymptotics(rep.omega, metric.grid)
     link_mode_ok = 0.9 <= e1 <= 1.3

@@ -293,7 +293,7 @@ _SWEEP_RUNS = {
     "metric": ("lambda", ["metric.preset=perturbed_cone", "grid.N=200"]),
     "metric.k_max": ("link-check", []),
     "metric.cone_factor": ("lambda", ["grid.N=200"]),
-    "metric.gamma": ("lambda", ["grid.N=200"]),
+    "metric.gamma": ("link-check", []),
     "metric.radius": ("lambda", _S4),
     "tolerances": ("lambda", _S4),
     "tolerances.monotonicity": ("flow", _S4_FLOW),
@@ -461,6 +461,44 @@ def test_mapping_exponent_message_names_key_and_link_dimension(capsys):
     assert capsys.readouterr().err.splitlines() == [
         "conelab: error: mapping.exponent N = 1e+300 must satisfy "
         "0 < N <= n = 3, the link dimension"]
+
+
+@pytest.mark.parametrize("args", [
+    ["lambda", "--N", "100"],
+    ["lambda", "--N", "200"],
+    ["lambda", "--N", "400"],
+    ["mu", "--N", "200"],
+])
+def test_cone_factor_above_hardy_bound_is_refused(tmp_path, capsys, args):
+    # b = 2x over S^3: c^2 = 4 > scal_F/(n-1) = 3, so lambda is -infinity;
+    # refused at every resolution instead of printed as a number
+    args = [*args, "--set", "metric.cone_factor=2", "--output-dir", "h"]
+    assert main(args) == EXIT_OPERATIONAL
+    assert capsys.readouterr().err.splitlines() == [
+        "conelab: error: tip cone factor c = 2 exceeds the Hardy bound "
+        "c^2 <= scal_F/(n-1) = 3 at link dimension n = 3: lambda is -infinity"]
+    assert not (tmp_path / "h" / "report.json").exists()
+
+
+def test_cone_factor_below_hardy_bound_runs(tmp_path):
+    args = ["lambda", "--N", "400", "--set", "metric.cone_factor=1.7",
+            "--output-dir", "c"]
+    assert main(args) == EXIT_OK
+    assert math.isfinite(_report(tmp_path, "c")["value"])
+
+
+def test_low_dimensional_link_message_wins_over_hardy_bound(capsys):
+    args = ["lambda", "--link", "S2", "--N", "200",
+            "--set", "metric.cone_factor=2", "--output-dir", "s"]
+    assert main(args) == EXIT_OPERATIONAL
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "q != 0 requires link dimension n >= 3" in line
+
+
+def test_sphere_suspension_at_a_radius_whose_pole_rounds_negative(tmp_path):
+    args = ["lambda", "--preset", "sphere_suspension", "--N", "200",
+            "--set", "metric.radius=6.5", "--output-dir", "r"]
+    assert main(args) == EXIT_OK
 
 
 def test_heat_ops_load_neither_scipy_optimize_nor_scipy_linalg(tmp_path):

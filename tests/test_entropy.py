@@ -148,8 +148,21 @@ class TestMu:
         assert abs(rep.value - closed) < 1e-8
         assert rep.el_residual < 1e-8
         assert rep.constraint_residual < 1e-12
-        assert abs(rep.multiplier - rep.value) < 1e-10 * max(1.0,
-                                                             abs(rep.value))
+
+    @pytest.mark.parametrize("tau, variant",
+                             [(0.3, "minus"), (0.5, "minus"), (1.0, "plus")])
+    def test_value_is_w_at_the_el_solution(self, s3, tau, variant):
+        """Pairing the EL equation with omega gives mu = W(omega): the
+        reported value is the entropy of the reported weight, here on a
+        perturbed S^4 whose minimizer is not constant."""
+        grid = RadialGrid.graded(500, math.pi, p=1.0)
+        s = np.sin(grid.x)
+        met = geometry.RadialMetric(link=s3, grid=grid, a=np.ones(grid.N),
+                                    b=s * (1.0 + 0.05 * s**2))
+        rep = compute_mu(met, tau, variant=variant)
+        assert np.ptp(rep.omega) > 0.05 * np.max(rep.omega)
+        w = evaluate_w(met, rep.omega, tau, variant)
+        assert abs(w - rep.value) < 1e-10 * abs(rep.value)
 
     def test_normalization_identity_at_optimal_tau(self, s4_fine):
         # s_m int f e^{-f} dV = m/2 + mu holds when tau is also stationary;
@@ -230,7 +243,7 @@ class TestNu:
         """The curvature and the tau-independent lambda ground state are
         computed once per metric, however many tau slices compute_nu
         samples."""
-        calls = {"_ricci_pair": 0, "_inverse_iteration": 0}
+        calls = {"_ricci_pair": 0, "solve_ground_state": 0}
 
         def count(module, name):
             fn = getattr(module, name)
@@ -241,11 +254,11 @@ class TestNu:
             monkeypatch.setattr(module, name, counted)
 
         count(geometry, "_ricci_pair")
-        count(spectral, "_inverse_iteration")
+        count(spectral, "solve_ground_state")
         met = sphere_suspension(linkmod.sphere_link(3, 12), 120, p=2.0)
         rep = compute_nu(met, "minus")
         assert len(rep.tau_profile) > 30
-        assert calls == {"_ricci_pair": 1, "_inverse_iteration": 1}
+        assert calls == {"_ricci_pair": 1, "solve_ground_state": 1}
 
     def test_sign_preconditions(self, s3, hyperbolic_metric):
         met = sphere_suspension(s3, 300, radius=1.0)

@@ -60,11 +60,10 @@ class TestDeTurckField:
         g = RadialGrid.graded(1000, 1.0, p=2.0)
         a_fn = sp.lambdify(xs, a_s, "numpy")
         b_fn = sp.lambdify(xs, b_s, "numpy")
-        met = RadialMetric(link=s3, grid=g, a=a_fn(g.x), b=b_fn(g.x),
-                           gamma=1.0)
+        met = RadialMetric(link=s3, grid=g, a=a_fn(g.x), b=b_fn(g.x))
         ref = RadialMetric(link=s3, grid=g,
                            a=sp.lambdify(xs, ra_s, "numpy")(g.x),
-                           b=sp.lambdify(xs, rb_s, "numpy")(g.x), gamma=1.0)
+                           b=sp.lambdify(xs, rb_s, "numpy")(g.x))
         w = deturck_vector_field(met, ref)
         sl = slice(20, -20)
         scale = np.max(np.abs(w_fn(g.x[sl])))

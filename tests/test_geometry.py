@@ -105,8 +105,6 @@ def test_metric_validation(s3):
         RadialMetric(link=s3, grid=g, a=np.ones(50), b=-g.x)
     with pytest.raises(ValueError):
         RadialMetric(link=s3, grid=g, a=np.ones(49), b=g.x[:-1])
-    with pytest.raises(ValueError):
-        RadialMetric(link=s3, grid=g, a=np.ones(50), b=g.x, gamma=0.0)
     with pytest.raises(ValueError, match="finite"):
         RadialMetric(link=s3, grid=g, a=np.where(g.x > 0.5, np.nan, 1.0),
                      b=g.x)
@@ -202,7 +200,7 @@ class TestCurvature:
 
         grid = RadialGrid.graded(1000, 1.0, p=2.0)
         met = RadialMetric(link=s3, grid=grid, a=1 + grid.x**2 / 4,
-                           b=grid.x * (1 + grid.x**2), gamma=2.0)
+                           b=grid.x * (1 + grid.x**2))
         rr, rl = warped_ricci(met)
         sc = warped_scal(met)
         sel = slice(20, -20)
@@ -310,10 +308,20 @@ def test_smooth_cutoff_shape():
     assert np.all(np.diff(chi) <= 1e-12)
 
 
+def test_sphere_suspension_builds_at_every_radius(s3):
+    # r sin(x/r) rounds to a small negative number at the pole x = pi r
+    # for some radii; the pole is clipped, every other node is as computed
+    radii = np.concatenate([np.linspace(0.1, 10.0, 2000),
+                            np.geomspace(1e-6, 1e6, 2000), [1e20]])
+    for r in radii:
+        met = sphere_suspension(s3, 16, radius=r)
+        assert met.b[-1] >= 0.0 and met.has_cap
+        assert np.array_equal(met.b[:-1], r * np.sin(met.grid.x[:-1] / r))
+
+
 def test_perturbed_cone_profile(s3):
     g = RadialGrid.graded(300, 1.0, p=2.0)
     met = perturbed_cone(s3, g, amplitude=0.1, exponent=2.0, cutoff=0.5)
-    assert met.gamma == 2.0
     # perturbation confined below the cutoff and of the right order at tip
     assert np.max(np.abs(met.b[g.x >= 0.5] - g.x[g.x >= 0.5])) < 1e-14
     dev = met.b / g.x - 1.0
@@ -328,7 +336,7 @@ def test_metric_from_csv_round_trip(tmp_path, s3):
     rows = ["x,a,b"] + [f"{x:.17g},{a:.17g},{b:.17g}"
                         for x, a, b in zip(g.x, met.a, met.b)]
     path.write_text("\n".join(rows) + "\n")
-    loaded = metric_from_csv(s3, str(path), gamma=2.0)
+    loaded = metric_from_csv(s3, str(path))
     assert np.allclose(loaded.b, met.b, rtol=0, atol=0)
     assert loaded.grid.N == 50
 

@@ -12,7 +12,6 @@ from conelab.heat import classify_tip_behavior
 from conelab.geometry import RadialGrid, flat_cone, perturbed_cone, sphere_suspension
 from conelab.spectral import (
     EigensolverError,
-    RadialOperator,
     assemble_operator,
     bounded_minimize,
     fit_asymptotics,
@@ -60,14 +59,14 @@ class TestIndicialExponents:
 class TestAssembly:
     def test_constant_in_kernel_of_pure_laplacian(self, s3):
         g = RadialGrid.graded(400, 1.0, p=2.0)
-        prob = assemble_operator(RadialOperator(flat_cone(s3, g), c=1.0))
+        prob = assemble_operator(flat_cone(s3, g), c=1.0)
         ones = np.ones(g.N)
         resid = np.linalg.norm(prob.matvec(ones))
         assert resid < 1e-12 * np.linalg.norm(prob.diag)
 
     def test_rayleigh_bounded_below_by_potential(self, s3):
         met = sphere_suspension(s3, 300, radius=1.0, p=1.0)
-        prob = assemble_operator(RadialOperator(met, q=1.0, c=4.0))
+        prob = assemble_operator(met, q=1.0, c=4.0)
         rng = np.random.default_rng(1)
         scal_min = np.min(geometry.warped_scal(met))
         for _ in range(5):
@@ -79,7 +78,7 @@ class TestAssembly:
         # first node; no floor on b may clip the conical tip
         g = RadialGrid.graded(2000, 1.0, p=3.0)
         met = flat_cone(s3, g)
-        diag = [assemble_operator(RadialOperator(met, mode=mode, c=1.0)).diag
+        diag = [assemble_operator(met, mode=mode, c=1.0).diag
                 for mode in (3.0, 0.0)]
         pot = (diag[0] - diag[1]) / geometry.volume_form(met)
         assert np.max(np.abs(pot * met.b**2 / 3.0 - 1.0)) < 1e-8
@@ -88,12 +87,12 @@ class TestAssembly:
         s2 = linkmod.sphere_link(2, 4)
         g = RadialGrid.graded(100, 1.0)
         with pytest.raises(ValueError):
-            RadialOperator(flat_cone(s2, g), q=1.0)
+            assemble_operator(flat_cone(s2, g), q=1.0)
 
     def test_mode_must_be_nonnegative(self, s3):
         g = RadialGrid.graded(100, 1.0)
         with pytest.raises(ValueError):
-            RadialOperator(flat_cone(s3, g), mode=-1.0)
+            assemble_operator(flat_cone(s3, g), mode=-1.0)
 
 
 class TestGroundState:
@@ -101,30 +100,31 @@ class TestGroundState:
         """Separated solution x^{-1} J_nu(sqrt(sigma) x): first Dirichlet
         eigenvalue on the unit cone is the squared first zero of J_nu."""
         g = RadialGrid.graded(1500, 1.0, p=2.0)
-        op = RadialOperator(flat_cone(s3, g), mode=3.0, c=1.0)
-        sigma, u = solve_ground_state(op, dirichlet_outer=True)
+        prob = assemble_operator(flat_cone(s3, g), mode=3.0, c=1.0,
+                                 dirichlet_outer=True)
+        sigma, u = solve_ground_state(prob)
         j21 = brentq(lambda z: jv(2.0, z), 4.0, 6.0)
         assert abs(sigma - j21**2) < 1e-3 * j21**2
-        prob = assemble_operator(op, dirichlet_outer=True)
         v = u[:-1]  # the outer Dirichlet node is not an unknown
         r = prob.matvec(v) - sigma * prob.mass * v
         assert np.linalg.norm(r) / np.linalg.norm(prob.mass * v) < 1e-8
 
     def test_state_is_plain_array(self, s3):
         met = sphere_suspension(s3, 100, radius=1.0, p=2.0)
-        u = solve_ground_state(RadialOperator(met, q=1.0, c=4.0))[1]
+        u = solve_ground_state(assemble_operator(met, q=1.0, c=4.0))[1]
         assert type(u) is np.ndarray and u.shape == (100,)
 
     def test_round_s4_constant_ground_state(self, s3):
         met = sphere_suspension(s3, 800, radius=1.0, p=2.0)
-        sigma, u = solve_ground_state(RadialOperator(met, q=1.0, c=4.0))
+        sigma, u = solve_ground_state(assemble_operator(met, q=1.0, c=4.0))
         assert abs(sigma - 12.0) < 1e-6
         assert np.ptp(u) < 1e-6 * np.max(u)
 
     def test_scaling_identity(self, s3):
         met = sphere_suspension(s3, 400, radius=1.0, p=2.0)
-        s1, _ = solve_ground_state(RadialOperator(met, q=1.0, c=4.0))
-        s2, _ = solve_ground_state(RadialOperator(scaled(met, 4.0), q=1.0, c=4.0))
+        s1, _ = solve_ground_state(assemble_operator(met, q=1.0, c=4.0))
+        s2, _ = solve_ground_state(assemble_operator(scaled(met, 4.0), q=1.0,
+                                                     c=4.0))
         assert abs(4.0 * s2 - s1) < 1e-6 * abs(s1)
 
     def test_mode_monotonicity(self, s3):
@@ -132,8 +132,8 @@ class TestGroundState:
         # rises with the mode; the global minimizer is radial
         g = RadialGrid.graded(500, 1.0, p=2.0)
         met = flat_cone(s3, g)
-        sigmas = [solve_ground_state(RadialOperator(met, mode=lam, c=1.0),
-                                     dirichlet_outer=True)[0]
+        sigmas = [solve_ground_state(assemble_operator(
+                      met, mode=lam, c=1.0, dirichlet_outer=True))[0]
                   for lam in (0.0, 3.0, 8.0)]
         assert sigmas[0] < sigmas[1] < sigmas[2]
 
@@ -141,8 +141,9 @@ class TestGroundState:
         sigmas = []
         for N in (200, 400, 800):
             g = RadialGrid.graded(N, 1.0, p=2.0)
-            op = RadialOperator(flat_cone(s3, g), mode=3.0, c=1.0)
-            sigmas.append(solve_ground_state(op, dirichlet_outer=True)[0])
+            prob = assemble_operator(flat_cone(s3, g), mode=3.0, c=1.0,
+                                     dirichlet_outer=True)
+            sigmas.append(solve_ground_state(prob)[0])
         d1 = abs(sigmas[1] - sigmas[0])
         d2 = abs(sigmas[2] - sigmas[1])
         assert math.log2(d1 / d2) > 1.5
@@ -150,15 +151,15 @@ class TestGroundState:
     def test_friedrichs_tip_behavior(self, s3):
         # ground state stays bounded with bounded x u' at the tip
         g = RadialGrid.graded(800, 1.0, p=2.0)
-        op = RadialOperator(flat_cone(s3, g), c=1.0)
-        _, u = solve_ground_state(op, dirichlet_outer=True)
+        prob = assemble_operator(flat_cone(s3, g), c=1.0, dirichlet_outer=True)
+        _, u = solve_ground_state(prob)
         xu = g.x * g.d1(u)
         assert np.max(np.abs(u[:5])) < 2.0 * np.max(np.abs(u))
         assert np.max(np.abs(xu[:5])) < 0.1 * np.max(np.abs(u))
 
     def test_normalization(self, s3):
         met = sphere_suspension(s3, 300, radius=1.0, p=1.0)
-        _, u = solve_ground_state(RadialOperator(met, q=1.0, c=4.0))
+        _, u = solve_ground_state(assemble_operator(met, q=1.0, c=4.0))
         w = geometry.volume_form(met)
         assert abs(u @ (w * u) - 1.0) < 1e-12
         assert np.all(u > 0)
