@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import entropy, geometry, link as linkmod, spectral
 from .geometry import ConelabError, RadialMetric, warped_ricci
@@ -109,7 +108,7 @@ def flow_rhs(metric: RadialMetric,
     ric_rad, ric_link = warped_ricci(metric)
     da = metric.a * (kappa - ric_rad) + metric.grid.d1(metric.a * w)
     db = metric.b * (kappa - ric_link) + metric.jet[1] * w
-    if not (np.all(np.isfinite(da)) and np.all(np.isfinite(db))):
+    if not (np.isfinite(da).all() and np.isfinite(db).all()):
         raise FlowError("non-finite flow right-hand side")
     return da, db
 
@@ -122,14 +121,16 @@ def _implicit_bands(grid, coeff, dt, frozen):
     bandwidth (3, 3).
     """
     image, one_sided = grid._d2_banded
-    if np.any(one_sided & ~frozen):
+    if (one_sided & ~frozen).any():
         raise FlowError("one-sided stencil row outside the frozen band")
     N = grid.N
     scale = np.zeros(N + 6)
     scale[3:N + 3] = np.where(frozen, 0.0, -dt * coeff)
-    # entry (k, j) of the storage lies in matrix row j + k - 3, so the k-th
-    # row of the sliding window is the row scale along that diagonal
-    ab = sliding_window_view(scale, N) * image
+    # entry (k, j) of the storage lies in matrix row j + k - 3, so row k
+    # takes the row scale along that diagonal, scale[k:k + N]
+    ab = np.empty_like(image)
+    for k in range(len(image)):
+        np.multiply(scale[k:k + N], image[k], out=ab[k])
     ab += 0.0  # -0.0 -> +0.0, as adding the identity's off-diagonal zeros does
     ab[3] += 1.0
     return ab
@@ -184,7 +185,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
                         "b vanishes in the interior")
     if last_live - first_live < 8:
         raise FlowError("grid too small for the frozen boundary bands")
-    live = ~frozen
+    live = slice(first_live, last_live + 1)  # the complement of frozen
 
     dx_live = np.diff(grid.x)[first_live:last_live]
     steps = cfg.t_end / (cfg.cfl * float(np.min(dx_live)) ** 2)
@@ -247,11 +248,12 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         _, _, d2a, d2b = metric.jet
         for u, rate, d2u in ((a, da, d2a), (b, db, d2b)):
             rhs = u + dt * (rate - coeff * d2u)
-            rhs[frozen] = u[frozen]
+            rhs[:first_live] = u[:first_live]
+            rhs[last_live + 1:] = u[last_live + 1:]
             u[:] = solve_banded((3, 3), ab_mat, rhs)
         slave_bands(a, b)
         t = (step + 1) * dt
-        if np.any(a <= 0) or np.any(b[live] <= 0):
+        if (a <= 0).any() or (b[live] <= 0).any():
             raise FlowError(f"positivity loss at t = {t:.6g}")
         metric = replace(metric, a=a, b=b)
         cf = fitted_cone_factor(b)

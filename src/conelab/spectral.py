@@ -30,9 +30,24 @@ class EigensolverError(ConelabError):
 
 
 def solve_banded(l_and_u, ab, b):
-    """scipy.linalg.solve_banded, with scipy.linalg imported on the first solve."""
-    from scipy import linalg
-    return linalg.solve_banded(l_and_u, ab, b)
+    """scipy.linalg.solve_banded bit for bit, by its LAPACK calls without its
+    wrapper: dgtsv for (1, 1) bands, else dgbsv on a Fortran-ordered
+    (2l + u + 1, N) workspace.  ValueError on a non-finite entry and
+    np.linalg.LinAlgError on a singular matrix, as scipy raises; ab and b
+    stay untouched, and scipy.linalg is imported on the first solve."""
+    from scipy.linalg.lapack import dgbsv, dgtsv
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    l, u = l_and_u
+    if l == u == 1:
+        *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    else:
+        work = np.zeros((2 * l + u + 1, ab.shape[1]), order="F")
+        work[l:] = ab
+        *_, x, info = dgbsv(l, u, work, b, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 @dataclass(frozen=True)
@@ -40,7 +55,6 @@ class IndicialData:
     """Tip-exponent table per link eigenvalue."""
 
     n: int
-    gamma: float
     eigenvalues: np.ndarray
     nu: np.ndarray
     mu_plus: np.ndarray
@@ -58,8 +72,7 @@ def indicial_exponents(link, gamma: float) -> IndicialData:
     # mu_plus at lambda_1, the smallest nonzero link eigenvalue
     gamma_bar = min(gamma, mu_plus[lam > 0][0]) if np.any(lam > 0) else None
     return IndicialData(
-        n=n, gamma=gamma, eigenvalues=lam, nu=nu,
-        mu_plus=mu_plus, gamma_bar=gamma_bar,
+        n=n, eigenvalues=lam, nu=nu, mu_plus=mu_plus, gamma_bar=gamma_bar,
         essentially_selfadjoint=(n >= 3),
     )
 

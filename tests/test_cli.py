@@ -501,6 +501,17 @@ def test_sphere_suspension_at_a_radius_whose_pole_rounds_negative(tmp_path):
     assert main(args) == EXIT_OK
 
 
+def _run_fresh(script, tmp_path):
+    """Run a Python script in a fresh process on this conelab; it must pass."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "CONELAB_OUTPUT_ROOT": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_heat_ops_load_neither_scipy_optimize_nor_scipy_linalg(tmp_path):
     """heat-check and mapping never solve a banded system and no op runs
     scipy's minimizer, so a fresh process leaves both modules unloaded."""
@@ -516,10 +527,19 @@ def test_heat_ops_load_neither_scipy_optimize_nor_scipy_linalg(tmp_path):
         "assert cli.main(['nu', '--preset', 'sphere_suspension', '--N', '120',\n"
         "                 '--output-dir', 'n']) == 0\n"
         "assert 'scipy.optimize' not in sys.modules\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "CONELAB_OUTPUT_ROOT": str(tmp_path),
-           "PYTHONPATH": os.pathsep.join(
-               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(script, tmp_path)
+
+
+def test_import_loads_no_scipy_and_lambda_loads_only_scipy_linalg(tmp_path):
+    """`import conelab` and its CLI load no scipy module; a lambda op's
+    banded solves load scipy.linalg, and still not scipy.optimize."""
+    script = (
+        "import sys\n"
+        "import conelab\n"
+        "from conelab import cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+        "assert cli.main(['lambda', '--N', '100', '--output-dir', 'l']) == 0\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+        "assert 'scipy.optimize' not in sys.modules\n")
+    _run_fresh(script, tmp_path)

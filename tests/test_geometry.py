@@ -372,3 +372,17 @@ def test_lie_derivative_matches_flow_of_coefficients(s3):
     inner = slice(5, -5)
     assert np.max(np.abs(h_rad[inner] - h_rad_fd[inner])) < 1e-4
     assert np.max(np.abs(h_link[inner] - h_link_fd[inner])) < 1e-4
+
+
+@pytest.mark.parametrize("capped", [True, False])
+def test_jet_equals_the_stencil_applications(s3, capped):
+    if capped:
+        met = sphere_suspension(s3, 300, p=2.0)
+    else:
+        met = perturbed_cone(s3, RadialGrid.graded(400, 2.0, p=1.0),
+                             amplitude=0.01, exponent=2.0, cutoff=0.7)
+    g = met.grid
+    expected = (g.d1(met.a), g.d1(met.b), g.d2(met.a), g.d2(met.b))
+    assert all(np.array_equal(j, e) for j, e in zip(met.jet, expected))
+    assert met.has_cap is capped
+    assert replace(met).has_cap is capped

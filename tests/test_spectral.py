@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import jv
 
-from conelab import entropy, geometry, link as linkmod, spectral
+from conelab import entropy, flow, geometry, link as linkmod, spectral
 from conelab.heat import classify_tip_behavior
 from conelab.geometry import RadialGrid, flat_cone, perturbed_cone, sphere_suspension
 from conelab.spectral import (
@@ -18,6 +19,7 @@ from conelab.spectral import (
     fit_power_model,
     indicial_exponents,
     rayleigh_quotient,
+    solve_banded,
     solve_ground_state,
 )
 
@@ -269,3 +271,57 @@ class TestBoundedMinimize:
         for lo, hi in ((1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
             with pytest.raises(ValueError, match="bounds"):
                 bounded_minimize(lambda x: x, lo, hi, 1e-8)
+
+
+class TestSolveBanded:
+    """The direct LAPACK solve equals scipy.linalg.solve_banded bit for bit."""
+
+    @staticmethod
+    def _tridiagonal(rng, N):
+        ab = rng.standard_normal((3, N))
+        ab[1] += 4.0
+        return ab
+
+    @staticmethod
+    def _flow_bands(rng):
+        # the flow's own (3, 3) system: I - dt diag(coeff) D2 at N = 800
+        grid = RadialGrid.graded(800, 2.0, p=1.0)
+        frozen = np.zeros(grid.N, dtype=bool)
+        frozen[:4] = frozen[-4:] = True
+        return flow._implicit_bands(grid, 1.0 + 0.1 * rng.random(grid.N),
+                                    2.5e-6, frozen)
+
+    @pytest.mark.parametrize("shape", ["tridiagonal", "two columns", "flow"])
+    def test_equals_scipy_bit_for_bit(self, shape):
+        rng = np.random.default_rng(5)
+        if shape == "flow":
+            l_and_u, ab = (3, 3), self._flow_bands(rng)
+        else:
+            l_and_u, ab = (1, 1), self._tridiagonal(rng, 2000)
+        N = ab.shape[1]
+        # Newton's right-hand side is the transpose of a (2, N) stack
+        b = (rng.standard_normal((2, N)).T if shape == "two columns"
+             else rng.standard_normal(N))
+        ab0, b0 = ab.copy(), b.copy()
+        x = solve_banded(l_and_u, ab, b)
+        assert np.array_equal(x, linalg.solve_banded(l_and_u, ab, b))
+        assert x.shape == b.shape
+        assert np.array_equal(ab, ab0) and np.array_equal(b, b0)
+
+    @pytest.mark.parametrize("l_and_u", [(1, 1), (3, 3)])
+    def test_singular_matrix(self, l_and_u):
+        ab = np.zeros((sum(l_and_u) + 1, 20))
+        ab[l_and_u[1], 1:] = 1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded(l_and_u, ab, np.ones(20))
+
+    @pytest.mark.parametrize("where", ["ab", "b"])
+    def test_non_finite_input(self, where):
+        rng = np.random.default_rng(6)
+        ab, b = self._tridiagonal(rng, 50), np.ones(50)
+        if where == "ab":
+            ab[1, 7] = np.nan
+        else:
+            b[7] = np.nan
+        with pytest.raises(ValueError):
+            solve_banded((1, 1), ab, b)
