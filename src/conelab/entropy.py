@@ -142,7 +142,7 @@ def _newton_el(prob, m, tau, e, u0, mu0):
         bvec = w * u                 # d g1 / d mu
         cvec = 2.0 * sm * w * u      # d g2 / d omega
         try:
-            y1, y2 = solve_banded((1, 1), ab, -np.array([g1, bvec]).T).T
+            y1, y2 = solve_banded(ab, -np.array([g1, bvec]).T).T
         except np.linalg.LinAlgError:
             return u, mu, res < _NEWTON_ACCEPT
         denom = float(cvec @ y2)

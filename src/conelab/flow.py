@@ -15,10 +15,12 @@ a radial field W = w(x) d/dx), and the component equations are
 
 with r_a, r_b the reference warping functions and ' = d/dx.  The principal
 part of both equations is u''/a^2 (the stiff b'' pieces of Ric_rad and of
-(a w)' cancel), so the scheme treats the diagonal diffusion implicitly via
-banded solves and everything else explicitly.  The degenerate tip region and
-the outer truncation are held frozen on a band of nodes; the interior CFL
-controller steps against the squared minimum spacing of the evolved nodes.
+(a w)' cancel).  Each step takes the 3-point diffusion D3 u / a^2 implicitly,
+D3 the 3-point second difference of the graded grid, by one tridiagonal
+solve per field, and the explicit remainder (the full right-hand side minus
+D3 u / a^2) explicitly.  The degenerate tip region and the outer truncation
+are held frozen on a band of nodes; the interior CFL controller steps
+against the squared minimum spacing of the evolved nodes.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ def deturck_vector_field(metric: RadialMetric,
     a, b = metric.a, metric.b
     ra, rb = reference.a, reference.b
     n = metric.link.n
-    da, db, _, _ = metric.jet
-    dra, drb, _, _ = reference.jet
+    da, db, _ = metric.jet
+    dra, drb, _ = reference.jet
     safe_b = np.where(b > 0, b, 1.0)
     w = (da / a - dra / ra) / a**2 + n * (rb * drb / (ra**2 * safe_b**2)
                                           - db / (a**2 * safe_b))
@@ -114,34 +116,30 @@ def flow_rhs(metric: RadialMetric,
 
 
 def _implicit_bands(grid, coeff, dt, frozen):
-    """Banded form of I - dt * diag(coeff) * D2 with frozen identity rows.
+    """Tridiagonal storage of I - dt * diag(coeff) * D3, identity where frozen.
 
-    The frozen bands must cover the nodes whose difference stencils are
-    one-sided, so every live row is centered and the matrix fits in
-    bandwidth (3, 3).
+    D3 is the 3-point second difference, the implicit part of the step; the
+    explicit remainder carries the rest of the right-hand side.  The end
+    rows have no centred 3-point stencil, so both must be frozen.
     """
-    image, one_sided = grid._d2_banded
-    if (one_sided & ~frozen).any():
-        raise FlowError("one-sided stencil row outside the frozen band")
-    N = grid.N
-    scale = np.zeros(N + 6)
-    scale[3:N + 3] = np.where(frozen, 0.0, -dt * coeff)
-    # entry (k, j) of the storage lies in matrix row j + k - 3, so row k
-    # takes the row scale along that diagonal, scale[k:k + N]
-    ab = np.empty_like(image)
-    for k in range(len(image)):
-        np.multiply(scale[k:k + N], image[k], out=ab[k])
-    ab += 0.0  # -0.0 -> +0.0, as adding the identity's off-diagonal zeros does
-    ab[3] += 1.0
+    if not (frozen[0] and frozen[-1]):
+        raise FlowError("end row outside the frozen band")
+    lo, mid, hi = grid._d3
+    scale = np.where(frozen, 0.0, -dt * coeff)
+    # ab[1 + i - j, j] = A[i, j]
+    ab = np.zeros((3, grid.N))
+    ab[0, 1:] = scale[:-1] * hi[:-1]
+    ab[1] = 1.0 + scale * mid
+    ab[2, :-1] = scale[1:] * lo[1:]
     return ab
 
 
 def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     """Integrate the flow from `initial`; returns the sampled trajectory.
 
-    Implicit-explicit stepping: the diagonal diffusion u''/a^2 is solved
-    implicitly (bandwidth-3 solves per step per field), the remainder of the
-    right-hand side explicitly.  The tip band of nodes is slaved
+    Implicit-explicit stepping: the 3-point diffusion D3 u / a^2 is solved
+    implicitly (one tridiagonal solve per step per field), the remainder of
+    the right-hand side explicitly.  The tip band of nodes is slaved
     multiplicatively to the initial profile (band values scale with the
     first evolved node); a smooth outer cap is slaved the same way from the
     other end, while a truncation boundary stays at its initial values.
@@ -186,6 +184,9 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     if last_live - first_live < 8:
         raise FlowError("grid too small for the frozen boundary bands")
     live = slice(first_live, last_live + 1)  # the complement of frozen
+    below = slice(first_live - 1, last_live)  # the live rows' neighbours
+    above = slice(first_live + 1, last_live + 2)
+    lo, mid, hi = grid._d3[:, live]
 
     dx_live = np.diff(grid.x)[first_live:last_live]
     steps = cfg.t_end / (cfg.cfl * float(np.min(dx_live)) ** 2)
@@ -245,12 +246,11 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         da, db = flow_rhs(metric, cfg)
         coeff = 1.0 / metric.a**2
         ab_mat = _implicit_bands(grid, coeff, dt, frozen)
-        _, _, d2a, d2b = metric.jet
-        for u, rate, d2u in ((a, da, d2a), (b, db, d2b)):
-            rhs = u + dt * (rate - coeff * d2u)
-            rhs[:first_live] = u[:first_live]
-            rhs[last_live + 1:] = u[last_live + 1:]
-            u[:] = solve_banded((3, 3), ab_mat, rhs)
+        for u, rate in ((a, da), (b, db)):
+            d3u = lo * u[below] + mid * u[live] + hi * u[above]
+            rhs = u.copy()
+            rhs[live] += dt * (rate[live] - coeff[live] * d3u)
+            u[:] = solve_banded(ab_mat, rhs)
         slave_bands(a, b)
         t = (step + 1) * dt
         if (a <= 0).any() or (b[live] <= 0).any():

@@ -120,20 +120,13 @@ class RadialGrid:
         return starts[:, None] + np.arange(w)[None, :], w1, w2
 
     @cached_property
-    def _d2_banded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The d2 weights in banded storage of bandwidth (h, h).
-
-        With h = STENCIL // 2, returns the (2h + 1, N) image, ab[h + i - j, j]
-        = D2[i, j], and the rows whose one-sided stencils reach outside the
-        band (those entries are left out of the image).
-        """
-        h = STENCIL // 2
-        cols, _, w2 = self._stencils
-        band = h + np.arange(self.N)[:, None] - cols
-        inside = (band >= 0) & (band <= 2 * h)
-        image = np.zeros((2 * h + 1, self.N))
-        image[band[inside], cols[inside]] = w2[inside]
-        return _read_only(image), _read_only(~inside.all(axis=1))
+    def _d3(self) -> np.ndarray:
+        """(3, N) weights of the 3-point second difference: column i weighs
+        u[i-1], u[i], u[i+1]; the end columns, with no centred stencil, are 0."""
+        hm, hp = np.diff(self.x)[:-1], np.diff(self.x)[1:]
+        w = np.zeros((3, self.N))
+        w[:, 1:-1] = 2.0 / np.array([hm * (hm + hp), -hm * hp, hp * (hm + hp)])
+        return _read_only(w)
 
     def _apply(self, u, weights):
         return np.einsum("ij,ij->i", weights,
@@ -202,13 +195,13 @@ class RadialMetric:
         return self._memo[build]
 
     @cached_property
-    def jet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Grid derivatives (a', b', a'', b'') of the coefficients."""
+    def jet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid derivatives (a', b', b'') of the coefficients."""
         # grid.d1 and grid.d2 bit for bit, from one stencil gather per field
         cols, w1, w2 = self.grid._stencils
-        gathers = (self.a[cols], self.b[cols])
+        ga, gb = self.a[cols], self.b[cols]
         return tuple(_read_only(np.einsum("ij,ij->i", w, u))
-                     for w in (w1, w2) for u in gathers)
+                     for w, u in ((w1, ga), (w1, gb), (w2, gb)))
 
 
 # -- curvature ----------------------------------------------------------------
@@ -232,7 +225,7 @@ def warped_ricci(metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
 def _ricci_pair(metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     n = metric.link.n
     a, b = metric.a, metric.b
-    da, db, _, d2b = metric.jet
+    da, db, d2b = metric.jet
     kappa = metric.link.scal_F / (n * (n - 1)) if n > 1 else 0.0
     Db = db / a
     D2b = (d2b - db * da / a) / a**2
@@ -276,7 +269,7 @@ def radial_hessian(f, metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     negative) Laplacian of f.
     """
     a, b, g = metric.a, metric.b, metric.grid
-    da, db, _, _ = metric.jet
+    da, db, _ = metric.jet
     df = g.d1(f)
     Df = df / a
     hess_rad = (g.d2(f) - df * da / a) / a**2

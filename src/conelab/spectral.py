@@ -29,22 +29,16 @@ class EigensolverError(ConelabError):
     pass
 
 
-def solve_banded(l_and_u, ab, b):
-    """scipy.linalg.solve_banded bit for bit, by its LAPACK calls without its
-    wrapper: dgtsv for (1, 1) bands, else dgbsv on a Fortran-ordered
-    (2l + u + 1, N) workspace.  ValueError on a non-finite entry and
-    np.linalg.LinAlgError on a singular matrix, as scipy raises; ab and b
-    stay untouched, and scipy.linalg is imported on the first solve."""
-    from scipy.linalg.lapack import dgbsv, dgtsv
+def solve_banded(ab, b):
+    """Solve the tridiagonal system in (3, N) banded storage ab by LAPACK's
+    dgtsv, bit for bit as scipy.linalg.solve_banded((1, 1), ab, b).
+    ValueError on a non-finite entry and np.linalg.LinAlgError on a singular
+    matrix, as scipy raises; ab and b stay untouched, and scipy.linalg is
+    imported on the first solve."""
+    from scipy.linalg.lapack import dgtsv
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    l, u = l_and_u
-    if l == u == 1:
-        *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
-    else:
-        work = np.zeros((2 * l + u + 1, ab.shape[1]), order="F")
-        work[l:] = ab
-        *_, x, info = dgbsv(l, u, work, b, overwrite_ab=True)
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
@@ -178,7 +172,7 @@ def solve_ground_state(prob: AssembledProblem) -> tuple[float, np.ndarray]:
     for it in range(200):
         ab = prob.banded(shift_mass=shift)
         try:
-            v = solve_banded((1, 1), ab, w * u)
+            v = solve_banded(ab, w * u)
         except np.linalg.LinAlgError:
             shift -= 1e-8 * (abs(shift) + 1.0)
             continue

@@ -136,60 +136,78 @@ class TestFlowRHS:
 
 class TestImplicitBands:
     @staticmethod
-    def _setup(n_frozen):
-        g = RadialGrid.graded(40, 1.0, p=2.0)
-        coeff = np.random.default_rng(3).uniform(0.5, 2.0, g.N)
-        frozen = np.zeros(g.N, dtype=bool)
+    def _frozen(N, n_frozen):
+        frozen = np.zeros(N, dtype=bool)
         frozen[:n_frozen] = True
-        frozen[-n_frozen:] = True
-        return g, coeff, frozen
+        frozen[N - n_frozen:] = True
+        return frozen
+
+    @staticmethod
+    def _d3_dense(g):
+        x, N = g.x, g.N
+        D3 = np.zeros((N, N))
+        for i in range(1, N - 1):
+            hm, hp = x[i] - x[i - 1], x[i + 1] - x[i]
+            D3[i, i - 1:i + 2] = (2.0 / (hm * (hm + hp)), -2.0 / (hm * hp),
+                                  2.0 / (hp * (hm + hp)))
+        return D3
+
+    @staticmethod
+    def _dense(ab):
+        # tridiagonal storage: ab[1 + i - j, j] = A[i, j]
+        return np.diag(ab[0, 1:], 1) + np.diag(ab[1]) + np.diag(ab[2, :-1], -1)
+
+    def _expected(self, g, coeff, dt, frozen):
+        expect = np.eye(g.N) - dt * coeff[:, None] * self._d3_dense(g)
+        expect[frozen] = np.eye(g.N)[frozen]
+        return expect
 
     def test_equals_dense_operator(self):
-        g, coeff, frozen = self._setup(4)
-        dt = 1e-3
-        N = g.N
-        D2 = np.column_stack([g.d2(e) for e in np.eye(N)])
-        expect = np.eye(N) - dt * coeff[:, None] * D2
-        expect[frozen] = np.eye(N)[frozen]
-        ab = flow._implicit_bands(g, coeff, dt, frozen)
-        # banded storage: ab[3 + i - j, j] = A[i, j]
-        dense = np.zeros((N, N))
-        for k in range(7):
-            j = np.arange(max(0, 3 - k), min(N, N + 3 - k))
-            dense[j + k - 3, j] = ab[k, j]
-        assert np.array_equal(dense, expect)
+        g = RadialGrid.graded(40, 1.0, p=2.0)
+        coeff = np.random.default_rng(3).uniform(0.5, 2.0, g.N)
+        frozen = self._frozen(g.N, 4)
+        ab = flow._implicit_bands(g, coeff, 1e-3, frozen)
+        assert ab.shape == (3, g.N)
+        assert np.array_equal(self._dense(ab),
+                              self._expected(g, coeff, 1e-3, frozen))
 
-    def test_live_one_sided_row_rejected(self):
-        # rows 0-2 and N-3..N-1 have one-sided 7-point stencils
-        g, coeff, frozen = self._setup(2)
-        with pytest.raises(FlowError):
-            flow._implicit_bands(g, coeff, 1e-3, frozen)
+    def test_d3_exact_on_quadratics(self):
+        g = RadialGrid.graded(200, 2.0, p=2.0)
+        lo, mid, hi = g._d3
+        inner = slice(1, -1)
+        for u, exact in ((np.ones(g.N), 0.0), (g.x, 0.0), (g.x**2, 2.0)):
+            terms = np.array([lo[inner] * u[:-2], mid[inner] * u[inner],
+                              hi[inner] * u[2:]])
+            err = np.abs(terms.sum(axis=0) - exact)
+            assert np.all(err <= 8 * np.finfo(float).eps
+                          * np.abs(terms).sum(axis=0))
+        assert not g._d3[:, [0, -1]].any()
+
+    def test_live_end_row_rejected(self):
+        # the end rows have no centred 3-point stencil
+        g = RadialGrid.graded(40, 1.0, p=2.0)
+        for end in (0, -1):
+            frozen = self._frozen(g.N, 4)
+            frozen[end] = False
+            with pytest.raises(FlowError, match="end row"):
+                flow._implicit_bands(g, np.ones(g.N), 1e-3, frozen)
 
     def test_cached_layout_checks_each_frozen_mask(self):
-        # the grid caches its band layout on the first call; every later
-        # call must still check its own mask against the one-sided rows
+        # the grid caches its 3-point weights on the first call; every later
+        # call must still build its own mask's rows and check its end rows
         g = RadialGrid.graded(40, 1.0, p=2.0)
-        N = g.N
-        D2 = np.column_stack([g.d2(e) for e in np.eye(N)])
         rng = np.random.default_rng(5)
-        for n_frozen, dt, valid in ((4, 1e-3, True), (2, 3e-4, False),
-                                    (6, 2e-3, True)):
-            coeff = rng.uniform(0.5, 2.0, N)
-            frozen = np.zeros(N, dtype=bool)
-            frozen[:n_frozen] = True
-            frozen[-n_frozen:] = True
-            if not valid:
+        for n_frozen, dt in ((4, 1e-3), (0, 3e-4), (1, 5e-4), (6, 2e-3)):
+            coeff = rng.uniform(0.5, 2.0, g.N)
+            frozen = self._frozen(g.N, n_frozen)
+            if n_frozen == 0:
                 with pytest.raises(FlowError):
                     flow._implicit_bands(g, coeff, dt, frozen)
                 continue
-            expect = np.eye(N) - dt * coeff[:, None] * D2
-            expect[frozen] = np.eye(N)[frozen]
             ab = flow._implicit_bands(g, coeff, dt, frozen)
-            dense = np.zeros((N, N))
-            for k in range(7):
-                j = np.arange(max(0, 3 - k), min(N, N + 3 - k))
-                dense[j + k - 3, j] = ab[k, j]
-            assert np.array_equal(dense, expect)
+            assert np.array_equal(self._dense(ab),
+                                  self._expected(g, coeff, dt, frozen))
+        assert g._d3 is g.__dict__["_d3"]
 
 
 class TestFixedPointRuns:
