@@ -35,10 +35,6 @@ class ConfigError(geometry.ConelabError):
     pass
 
 
-def _parse_bool(s) -> bool:
-    return str(s).strip().lower() in ("1", "true", "yes", "on")
-
-
 # the most grid nodes: one lambda solve at N = 100000 takes 7 s and 110 MB
 MAX_NODES = 100_000
 
@@ -50,7 +46,6 @@ CONFIG_SCHEMA = {
         "subcommand": (str, ""),
         "seed": (int, 0, "[0, inf)"),
         "output_dir": (str, "out"),
-        "svg": (_parse_bool, False),
     },
     "grid": {
         "N": (int, 2000, f"[{geometry.MIN_NODES}, {MAX_NODES}]"),
@@ -282,46 +277,6 @@ def write_csv(cfg: dict, name: str, header: list[str], rows) -> str:
     return path
 
 
-def svg_line_plot(path: str, xs, ys, title: str) -> None:
-    """Minimal static 640x400 SVG polyline chart (no external plotting stack)."""
-    width, height = 640, 400
-    xs = np.asarray(xs, float)
-    ys = np.asarray(ys, float)
-    mx, pad = 60, 20
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-    px = mx + (xs - x0) / (x1 - x0) * (width - mx - pad)
-    py = (height - mx) - (ys - y0) / (y1 - y0) * (height - mx - pad)
-    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-    svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}">\n'
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
-        f'<text x="{width/2:.0f}" y="16" text-anchor="middle" '
-        f'font-size="13">{title}</text>\n'
-        f'<line x1="{mx}" y1="{pad}" x2="{mx}" y2="{height-mx}" '
-        f'stroke="black"/>\n'
-        f'<line x1="{mx}" y1="{height-mx}" x2="{width-pad}" '
-        f'y2="{height-mx}" stroke="black"/>\n'
-        f'<text x="{mx}" y="{height-mx+14}" font-size="10">{x0:.4g}</text>\n'
-        f'<text x="{width-pad}" y="{height-mx+14}" text-anchor="end" '
-        f'font-size="10">{x1:.4g}</text>\n'
-        f'<text x="{mx-4}" y="{height-mx}" text-anchor="end" '
-        f'font-size="10">{y0:.4g}</text>\n'
-        f'<text x="{mx-4}" y="{pad+4}" text-anchor="end" '
-        f'font-size="10">{y1:.4g}</text>\n'
-        f'<polyline points="{points}" fill="none" stroke="steelblue" '
-        f'stroke-width="1.5"/>\n'
-        f'</svg>\n'
-    )
-    with open(path, "w") as fh:
-        fh.write(svg)
-
-
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_link_check(cfg: dict) -> dict:
@@ -392,10 +347,8 @@ def cmd_nu(cfg: dict) -> dict:
     rep = entropy.compute_nu(metric, variant=cfg["nu"]["variant"],
                              tau_range=(cfg["nu"]["tau_min"],
                                         cfg["nu"]["tau_max"]))
-    if cfg["run"]["svg"]:
-        svg_line_plot(os.path.join(output_dir(cfg), "tau_profile.svg"),
-                      np.log10(rep.tau_profile), rep.mu_profile,
-                      f"mu_{rep.variant}(tau) vs log10 tau")
+    write_csv(cfg, "tau_profile.csv", ["tau", "mu"],
+              zip(rep.tau_profile.tolist(), rep.mu_profile.tolist()))
     return {
         "value": rep.value,
         "tau_star": rep.tau_star,
@@ -432,11 +385,6 @@ def cmd_flow(cfg: dict) -> dict:
             trajectory, fconf, tol_mono=cfg["tolerances"]["monotonicity"])
         report["monotonicity"] = dataclasses.asdict(mono)
         ok = mono.passed and (mono.stationarity_ok is not False)
-        if cfg["run"]["svg"]:
-            svg_line_plot(os.path.join(output_dir(cfg), "entropy_series.svg"),
-                          [s.t for s in trajectory],
-                          [s.entropy_value for s in trajectory],
-                          f"{fconf.entropy_kind} along the flow")
     first, last = trajectory[0], trajectory[-1]
     return {
         **report,
@@ -499,11 +447,6 @@ def cmd_convergence(cfg: dict) -> dict:
         order = float(np.mean(orders)) if orders else float("nan")
     write_csv(cfg, "convergence.csv", ["N", "lambda"],
               list(zip(Ns, values)))
-    if cfg["run"]["svg"]:
-        svg_line_plot(os.path.join(output_dir(cfg), "convergence.svg"),
-                      np.log2(Ns), np.log10(np.abs(np.array(
-                          values) - values[-1]) + 1e-300),
-                      "log10 |lambda_N - lambda_finest| vs log2 N")
     return {
         "op": "lambda",
         "N_values": Ns,
@@ -565,8 +508,6 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--set", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override a single config value")
-        sp.add_argument("--svg", dest="run.svg", action="store_const",
-                        const="true", help="shorthand for --set run.svg=true")
         flags = {**_FLAGS, **_SUBCOMMAND_FLAGS.get(name, {})}
         for flag, dest in flags.items():
             sp.add_argument(flag, dest=dest, metavar="VALUE",

@@ -48,7 +48,6 @@ def solve_banded(ab, b):
 class IndicialData:
     """Tip-exponent table per link eigenvalue."""
 
-    n: int
     eigenvalues: np.ndarray
     nu: np.ndarray
     mu_plus: np.ndarray
@@ -66,7 +65,7 @@ def indicial_exponents(link, gamma: float) -> IndicialData:
     # mu_plus at lambda_1, the smallest nonzero link eigenvalue
     gamma_bar = min(gamma, mu_plus[lam > 0][0]) if np.any(lam > 0) else None
     return IndicialData(
-        n=n, eigenvalues=lam, nu=nu, mu_plus=mu_plus, gamma_bar=gamma_bar,
+        eigenvalues=lam, nu=nu, mu_plus=mu_plus, gamma_bar=gamma_bar,
         essentially_selfadjoint=(n >= 3),
     )
 
@@ -334,22 +333,19 @@ def fit_power_model(x: np.ndarray, u: np.ndarray,
     return c0, e, rms
 
 
-def fit_asymptotics(u, grid: RadialGrid,
-                    window: tuple[float, float] | None = None,
-                    ) -> tuple[float, float, float]:
-    """Least-squares fit u ~ c0 + c1 x^e, e in [1e-3, 4], over the window.
+def fit_asymptotics(u, grid: RadialGrid) -> tuple[float, float, float]:
+    """Least-squares fit u ~ c0 + c1 x^e, e in [1e-3, 4], near the tip.
 
-    Returns (c0, e, rms residual) of `fit_power_model`; a field that is
-    constant to machine precision returns the +inf exponent sentinel.
+    The window is [max(4 x_1, 1e-3 L), L/10].  Returns (c0, e, rms
+    residual) of `fit_power_model`; a field that is constant to machine
+    precision returns the +inf exponent sentinel.
     """
     vals = np.asarray(u, dtype=float)
     x = grid.x
-    if window is None:
-        # on strongly graded grids 4*x_1 can sit far below the level where
-        # the field's variation clears solver roundoff; keep the window
-        # floor at a fixed fraction of the domain
-        window = (max(4.0 * x[0], 1e-3 * grid.L), grid.L / 10.0)
-    lo, hi = window
+    # on strongly graded grids 4*x_1 can sit far below the level where the
+    # field's variation clears solver roundoff; keep the window floor at a
+    # fixed fraction of the domain
+    lo, hi = max(4.0 * x[0], 1e-3 * grid.L), grid.L / 10.0
     sel = (x >= lo) & (x <= hi)
     if sel.sum() < 8:
         raise ValueError(f"fit window [{lo:.6g}, {hi:.6g}] contains "

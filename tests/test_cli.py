@@ -111,8 +111,8 @@ class TestArtifacts:
         assert rep["mass_conservation_error"] < 1e-8
         assert "timestamp" in rep and "tool_version" in rep
 
-    def test_flow_csv_and_svg(self, tmp_path):
-        args = ["flow", "--preset", "sphere_suspension", "--svg",
+    def test_flow_csv(self, tmp_path):
+        args = ["flow", "--preset", "sphere_suspension",
                 "--N", "300", "--output-dir", "f",
                 "--set", f"metric.radius={math.sqrt(3.0)!r}",
                 "--set", "flow.normalization=shrink",
@@ -121,19 +121,22 @@ class TestArtifacts:
         csv_path = tmp_path / "f" / "flow_series.csv"
         header = csv_path.read_text().splitlines()[0]
         assert header == "t,entropy,sup_ric,cone_factor"
-        svg = (tmp_path / "f" / "entropy_series.svg").read_text()
-        assert svg.startswith("<svg")
         rep = _report(tmp_path, "f")
         assert rep["monotonicity"]["constant"] is True
         assert rep["monotonicity"]["stationarity_ok"] is True
 
-    def test_nu_svg(self, tmp_path):
+    def test_nu_tau_profile_csv(self, tmp_path):
         args = ["nu", "--preset", "sphere_suspension", "--N", "300",
-                "--svg", "--output-dir", "n"]
+                "--output-dir", "n"]
         assert main(args) == EXIT_OK
-        assert (tmp_path / "n" / "tau_profile.svg").read_text().startswith(
-            "<svg")
+        header, *lines = (tmp_path / "n" / "tau_profile.csv").read_text(
+            ).splitlines()
+        assert header == "tau,mu"
+        rows = [tuple(float(v) for v in line.split(",")) for line in lines]
+        assert rows and all(len(row) == 2 for row in rows)
         rep = _report(tmp_path, "n")
+        assert min(mu for _, mu in rows) == rep["value"]
+        assert (rep["tau_star"], rep["value"]) in rows
         assert abs(rep["tau_star"] - 1.0 / 6.0) < 1e-2
 
 

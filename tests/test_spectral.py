@@ -191,7 +191,7 @@ class TestFitAsymptotics:
     def test_window_needs_enough_points(self):
         g = RadialGrid.graded(50, 1.0, p=1.0)
         with pytest.raises(ValueError):
-            fit_asymptotics(g.x, g, window=(0.9, 0.95))
+            fit_asymptotics(g.x, g)
 
 
 class TestBoundedMinimize:
