@@ -85,7 +85,7 @@ CONFIG_SCHEMA = {
         "normalization": (str, "steady"),
         "entropy": (str, "auto"),
         "samples": (int, 55, "[1, 1000]"),
-        "cfl": (float, 0.4, "(0, 1)"),
+        "cfl": (float, 0.9, "(0, 1)"),
         "reference": (str, "initial"),
         "drift_bound": (float, 1e-3, "(0, inf)"),
     },

@@ -178,6 +178,19 @@ class RadialMetric:
         if (b < 0).any() or (b[:-1] <= 0).any():
             raise ValueError("b must be positive (b = 0 allowed only at the cap)")
 
+    def _with_fields(self, a: np.ndarray, b: np.ndarray) -> "RadialMetric":
+        """This metric's grid and link with new fields a and b, unchecked.
+
+        For a caller that has checked a and b itself and hands them over:
+        they are made read-only in place rather than copied.
+        """
+        new = object.__new__(RadialMetric)
+        for name, val in (("link", self.link), ("grid", self.grid),
+                          ("a", _read_only(a)), ("b", _read_only(b)),
+                          ("_memo", {})):
+            object.__setattr__(new, name, val)
+        return new
+
     @property
     def m(self) -> int:
         """Total dimension of the conical manifold."""

@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from conelab import entropy, flow, geometry, link as linkmod, spectral
+from conelab.cli import CONFIG_SCHEMA
 from conelab.flow import (
     FlowConfig,
     FlowError,
@@ -252,6 +253,22 @@ class TestFixedPointRuns:
         cfg = FlowConfig(t_end=1e-20, reference=flat_cone(s3, grid),
                          sample_period=1e-20 / 55)
         assert [s.t for s in run_flow(met, cfg)] == [0.0, 1e-20]
+
+
+class TestTimeAccuracy:
+    def test_sup_ric_final_at_default_step_matches_small_step(self, s3):
+        # sup |Ric| sits at the first live node, next to the slaved tip
+        # band: a solve that couples that node to a stale band value leaves
+        # an error linear in dt there (+28% at cfl 0.4)
+        assert FlowConfig(t_end=1.0).cfl == CONFIG_SCHEMA["flow"]["cfl"][1]
+        g = RadialGrid.graded(200, 2.0, p=1.0)
+        pert = perturbed_cone(s3, g, amplitude=0.01, exponent=2.0, cutoff=0.7)
+        ref = flat_cone(s3, g)
+        default, small = (
+            run_flow(pert, FlowConfig(t_end=0.004, reference=ref,
+                                      entropy_kind="none", **kw))[-1].sup_ric
+            for kw in ({}, {"cfl": 0.05}))
+        assert abs(default / small - 1.0) < 0.01
 
 
 class TestMonotonicity:
