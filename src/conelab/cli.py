@@ -85,7 +85,6 @@ CONFIG_SCHEMA = {
         "normalization": (str, "steady"),
         "entropy": (str, "auto"),
         "samples": (int, 55, "[1, 1000]"),
-        "cfl": (float, 0.9, "(0, 1)"),
         "reference": (str, "initial"),
         "drift_bound": (float, 1e-3, "(0, inf)"),
     },
@@ -370,8 +369,7 @@ def cmd_flow(cfg: dict) -> dict:
         raise ConfigError("flow.reference must be 'initial' or 'flat_cone'")
     fconf = flow.FlowConfig(
         t_end=f["t_end"], normalization=f["normalization"],
-        reference=reference, cfl=f["cfl"],
-        sample_period=f["t_end"] / f["samples"],
+        reference=reference, samples=f["samples"],
         entropy_kind=f["entropy"], cone_drift_bound=f["drift_bound"])
     trajectory = flow.run_flow(metric, fconf)
     report = {}
@@ -390,6 +388,8 @@ def cmd_flow(cfg: dict) -> dict:
         **report,
         "samples": len(trajectory),
         "t_end": last.t,
+        "steps": last.steps,
+        "time_error_estimate": max(s.time_error for s in trajectory),
         "sup_ric_initial": first.sup_ric,
         "sup_ric_final": last.sup_ric,
         "sup_ric_normalized_final": last.sup_ric_normalized,

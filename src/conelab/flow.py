@@ -21,9 +21,9 @@ solve per field, and the explicit remainder (the full right-hand side minus
 D3 u / a^2) explicitly.  The degenerate tip region, and a smooth outer cap,
 are held on a band of nodes slaved to the nearest evolved node; the slaving
 relation is part of the implicit solve, so the band adds no time error of
-its own.  The outer truncation stays at its initial values.  The step is
-cfl * min(dx)^2 over the evolved nodes, cfl < 1, and the time error is
-first order in it.
+its own.  The outer truncation stays at its initial values.  The IMEX
+step is first order in dt; each sample interval is integrated by step
+doubling with local Richardson extrapolation, second order in dt.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ class FlowError(ConelabError):
 
 
 _KAPPA = {"steady": 0.0, "shrink": 1.0, "expand": -1.0}
+# step-doubling tolerance relative to a sample interval's change; 0.1 let
+# a coarse trial trip the drift guard on the shrinking round S^4
+TIME_TOL = 0.03
+_MAX_STEPS = 2**10  # the most steps k of one interval's coarse run
 # the entropy that is monotone under each normalization
 _MATCHING_ENTROPY = {"steady": "lambda", "shrink": "mu_minus",
                      "expand": "mu_plus"}
@@ -53,18 +57,15 @@ class FlowConfig:
     t_end: float
     normalization: str = "steady"
     reference: RadialMetric | None = None  # None: the initial metric
-    # dt = cfl * min(dx)^2 over the evolved nodes; the slaved bands are in
-    # the implicit solve, so the step is not held down by their accuracy
-    cfl: float = 0.9
-    sample_period: float = 0.0             # 0: diagnostics only at start/end
+    samples: int = 1                       # sample at t = t_end * j / samples
     entropy_kind: str = "auto"             # auto | the matching one | none
     cone_drift_bound: float = 1e-3
 
     def __post_init__(self):
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if not (0.0 < self.cfl < 1.0):
-            raise ValueError("cfl factor must lie in (0, 1)")
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1")
         if self.normalization not in _KAPPA:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         matching = _MATCHING_ENTROPY[self.normalization]
@@ -84,6 +85,8 @@ class FlowState:
     sup_ric_normalized: float  # sup |Ric - kappa g| in the orthonormal frame
     cone_factor: float
     entropy_value: float | None = None
+    steps: int = 0             # IMEX steps since t = 0, rejected trials included
+    time_error: float = 0.0    # error estimate of the interval ending here
 
 
 def deturck_vector_field(metric: RadialMetric,
@@ -151,6 +154,18 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     The slaving is folded into the implicit row of the evolved node next to
     each slaved band, so no solve couples to a stale band value; the two
     fields' matrices differ in those rows only.
+
+    The trajectory is sampled at t = t_end * (j / samples).  Each sample
+    interval takes k and 2k steps from its start and keeps 2 u_2k - u_k when
+
+        max |u_2k - u_k| <= TIME_TOL max |u_2k - u_start| + 2k 64 eps max |u_start|,
+
+    the last term the roundoff of the 2k steps; otherwise k doubles, up to
+    _MAX_STEPS, and the 2k-run becomes the next coarse run.  A trial that
+    loses positivity, or whose extrapolation does, is rejected the same
+    way.  The slaving is linear, so the extrapolated fields keep it.  k
+    halves on the next interval when the estimate is within a quarter of
+    the tolerance.  The cone-drift guard checks every accepted state.
     """
     ref = config.reference if config.reference is not None else initial
     cfg = replace(config, reference=ref)
@@ -196,26 +211,22 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     above = slice(first_live + 1, last_live + 2)
     lo, mid, hi = grid._d3[:, live]
 
-    dx_live = np.diff(grid.x)[first_live:last_live]
-    steps = cfg.t_end / (cfg.cfl * float(np.min(dx_live)) ** 2)
-    if steps > 5_000_000:
-        raise FlowError(f"step-size collapse: {steps:.3g} steps required at "
-                        f"flow.cfl = {cfg.cfl:g}, flow.t_end = {cfg.t_end:g}")
-    n_steps = math.ceil(steps)
-    dt = cfg.t_end / n_steps
+    # cone factor: the tip limit of b/s, s = int_0^x a the arclength (the
+    # tip cell [0, x_0] taken as a_0 x_0), so the cone angle b'/a rather
+    # than b', which moves when the metric is rescaled; extrapolated
+    # linearly in x from the first live nodes (the slaved band excluded)
+    # by one least-squares row on the fixed nodes
+    fit_end = min(first_live + 8, last_live + 1)
+    fit_sl = slice(first_live, fit_end)
+    intercept_row = np.linalg.pinv(np.vander(grid.x[fit_sl], 2))[1]
+    half_dx = 0.5 * np.diff(grid.x[:fit_end])
 
-    metric = initial
-    # cone factor as the fitted limit of b/x at x -> 0, extrapolated
-    # linearly from the first live nodes (the slaved band is excluded); the
-    # nodes are fixed, so the least-squares intercept is one row applied to b
-    fit_sl = slice(first_live, min(first_live + 8, last_live + 1))
-    x_fit = grid.x[fit_sl]
-    intercept_row = np.linalg.pinv(np.vander(x_fit, 2))[1] / x_fit
+    def fitted_cone_factor(a, b):
+        s = a[0] * grid.x[0] + np.concatenate(
+            ([0.0], np.cumsum(half_dx * (a[:fit_end - 1] + a[1:fit_end]))))
+        return float(intercept_row @ (b[fit_sl] / s[fit_sl]))
 
-    def fitted_cone_factor(b):
-        return float(intercept_row @ b[fit_sl])
-
-    cf0 = fitted_cone_factor(initial.b)
+    cf0 = fitted_cone_factor(initial.a, initial.b)
     a0, b0 = initial.a, initial.b
 
     # the slaving u[f-1] = r u[f], r = u0[f-1] / u0[f], at the first live
@@ -242,7 +253,37 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
             if initial.has_cap:
                 u[last_live + 1:] = u0[last_live + 1:] * (u[last_live] / u0[last_live])
 
-    def diagnostics(t, met):
+    def positive(a, b):
+        return bool((a > 0).all() and (b[live] > 0).all())
+
+    steps = 0
+
+    def advance(met, k, dt):
+        """k IMEX steps of size dt from met; None on a positivity loss."""
+        nonlocal steps
+        for _ in range(k):
+            da, db = flow_rhs(met, cfg)
+            coeff = 1.0 / met.a**2
+            ab_mat = _implicit_bands(grid, coeff, dt, frozen)
+            diag, off = ab_mat[1, rows], ab_mat[couplings]
+            ab_mat[couplings] = 0.0
+            new = []
+            for u, rate, ratio in ((met.a, da, ratio_a),
+                                   (met.b, db, ratio_b)):
+                d3u = lo * u[below] + mid * u[live] + hi * u[above]
+                rhs = u.copy()
+                rhs[live] += dt * (rate[live] - coeff[live] * d3u)
+                ab_mat[1, rows] = diag + off * ratio
+                new.append(solve_banded(ab_mat, rhs))
+            steps += 1
+            a, b = new
+            slave_bands(a, b)
+            if not positive(a, b):
+                return None
+            met = met._with_fields(a, b)
+        return met
+
+    def diagnostics(t, met, time_error):
         kappa = _KAPPA[cfg.normalization]
         ric = np.stack([r[live] for r in warped_ricci(met)])
         ev = None
@@ -257,39 +298,47 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         return FlowState(t=t, metric=replace(met),
                          sup_ric=float(np.max(np.abs(ric))),
                          sup_ric_normalized=float(np.max(np.abs(ric - kappa))),
-                         cone_factor=fitted_cone_factor(met.b),
-                         entropy_value=ev)
+                         cone_factor=fitted_cone_factor(met.a, met.b),
+                         entropy_value=ev, steps=steps, time_error=time_error)
 
-    trajectory = [diagnostics(0.0, metric)]
-    next_sample = cfg.sample_period if cfg.sample_period > 0 else math.inf
+    def sup_diff(p, q):
+        return max(float(np.max(np.abs(p.a - q.a))),
+                   float(np.max(np.abs(p.b - q.b))))
 
-    for step in range(n_steps):
-        da, db = flow_rhs(metric, cfg)
-        coeff = 1.0 / metric.a**2
-        ab_mat = _implicit_bands(grid, coeff, dt, frozen)
-        diag, off = ab_mat[1, rows], ab_mat[couplings]
-        ab_mat[couplings] = 0.0
-        new = []
-        for u, rate, ratio in ((metric.a, da, ratio_a),
-                               (metric.b, db, ratio_b)):
-            d3u = lo * u[below] + mid * u[live] + hi * u[above]
-            rhs = u.copy()
-            rhs[live] += dt * (rate[live] - coeff[live] * d3u)
-            ab_mat[1, rows] = diag + off * ratio
-            new.append(solve_banded(ab_mat, rhs))
-        a, b = new
-        slave_bands(a, b)
-        t = (step + 1) * dt
-        if (a <= 0).any() or (b[live] <= 0).any():
-            raise FlowError(f"positivity loss at t = {t:.6g}")
+    metric = initial
+    trajectory = [diagnostics(0.0, metric, 0.0)]
+    k = 1
+    t = 0.0
+    for j in range(1, cfg.samples + 1):
+        t_start, t = t, cfg.t_end * (j / cfg.samples)
+        h = t - t_start
+        floor = 64 * np.finfo(float).eps * max(metric.a.max(), metric.b.max())
+        coarse = advance(metric, k, h / k)
+        while True:
+            fine = None if coarse is None else advance(metric, 2 * k, h / (2 * k))
+            if fine is not None:
+                err, change = sup_diff(fine, coarse), sup_diff(fine, metric)
+                if err <= TIME_TOL * change + 2 * k * floor:
+                    a = 2.0 * fine.a - coarse.a
+                    b = 2.0 * fine.b - coarse.b
+                    if positive(a, b):
+                        break
+            k *= 2
+            if k > _MAX_STEPS:
+                raise FlowError(
+                    f"step-size collapse: {2 * _MAX_STEPS} steps do not "
+                    f"resolve the sample interval from t = {t_start:.6g} at "
+                    f"flow.t_end = {cfg.t_end:g}, flow.samples = {cfg.samples}")
+            # the 2k-run is the next trial's coarse run; a failed one stays
+            # failed, and a failed coarse run is retried at the new k
+            coarse = fine if coarse is not None else advance(metric, k, h / k)
+        if err <= 0.25 * TIME_TOL * change and k > 1:
+            k //= 2
         metric = metric._with_fields(a, b)
-        cf = fitted_cone_factor(b)
+        cf = fitted_cone_factor(a, b)
         if abs(cf - cf0) > cfg.cone_drift_bound * max(abs(cf0), 1e-300):
             raise FlowError(f"cone-condition drift beyond bound at t = {t:.6g}")
-        if t + 1e-12 * cfg.t_end >= next_sample or step == n_steps - 1:
-            trajectory.append(diagnostics(t, metric))
-            while next_sample <= t + 1e-12 * cfg.t_end:
-                next_sample += cfg.sample_period
+        trajectory.append(diagnostics(t, metric, err))
     return trajectory
 
 

@@ -229,7 +229,7 @@ def test_09_flow_fixed_points_and_monotonicity(s3):
     pert = perturbed_cone(s3, g3, amplitude=0.01, exponent=2.0, cutoff=0.7)
     T = 0.004
     cfg3 = flow.FlowConfig(t_end=T, normalization="steady",
-                           entropy_kind="lambda", sample_period=T / 55.0,
+                           entropy_kind="lambda", samples=55,
                            reference=flat_cone(s3, g3))
     tr3 = flow.run_flow(pert, cfg3)
     mono = flow.monotonicity_report(tr3, cfg3)

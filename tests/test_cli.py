@@ -436,26 +436,39 @@ def test_tip_fit_runs_only_in_the_report_layer(s3, monkeypatch):
     assert len(calls) == 1
 
     grid = geometry.RadialGrid.graded(100, 1.0, p=1.0)
-    cfg = flow.FlowConfig(t_end=4e-4, entropy_kind="lambda",
-                          sample_period=1e-4)
+    cfg = flow.FlowConfig(t_end=4e-4, entropy_kind="lambda", samples=4)
     traj = flow.run_flow(geometry.flat_cone(s3, grid), cfg)
     assert len(traj) >= 4
     assert len(calls) == 1
 
 
 def test_step_collapse_names_cfl_and_t_end(capsys):
-    for key, value in (("flow.t_end", "1e300"), ("flow.cfl", "1e-300")):
-        args = ["flow", "--output-dir", "f",
-                *(a for s in [*_S4_FLOW, f"{key}={value}"]
-                  for a in ("--set", s))]
-        assert main(args) == EXIT_OPERATIONAL
-        (line,) = capsys.readouterr().err.splitlines()
-        m = re.fullmatch(r"conelab: error: step-size collapse: (\S+) steps "
-                         r"required at flow\.cfl = (\S+), flow\.t_end = (\S+)",
-                         line)
-        assert m, line
-        assert len(m.group(1)) <= 9
-        assert float(m.group(2 if key == "flow.cfl" else 3)) == float(value)
+    # the step is set by an error estimate; a sample interval that no
+    # allowed number of steps resolves names the keys that set it
+    args = ["flow", "--output-dir", "f",
+            *(a for s in [*_S4_FLOW, "flow.t_end=1e300"] for a in ("--set", s))]
+    assert main(args) == EXIT_OPERATIONAL
+    (line,) = capsys.readouterr().err.splitlines()
+    m = re.fullmatch(r"conelab: error: step-size collapse: .+ at "
+                     r"flow\.t_end = (\S+), flow\.samples = (\d+)", line)
+    assert m, line
+    assert float(m.group(1)) == 1e300 and m.group(2) == "4"
+
+
+@pytest.mark.parametrize("N", [150, 300])
+def test_round_sphere_steady_flow_follows_closed_form(tmp_path, N):
+    # the unit round S^4 shrinks homothetically under the steady flow,
+    # r(t)^2 = 1 - 6t, so lambda(t) = 12 / (1 - 6t); its smooth poles keep
+    # their cone angle while a and b' fall
+    args = ["flow", "--preset", "sphere_suspension", "--N", str(N),
+            "--p", "1", "--set", "flow.t_end=0.1", "--output-dir", "s"]
+    assert main(args) == EXIT_OK
+    assert _report(tmp_path, "s")["monotonicity"]["min_successive_diff"] > 0
+    _, *lines = (tmp_path / "s" / "flow_series.csv").read_text().splitlines()
+    rows = [tuple(map(float, line.split(",")[:2])) for line in lines]
+    assert len(rows) == CONFIG_SCHEMA["flow"]["samples"][1] + 1
+    for t, lam in rows:
+        assert abs(lam * (1.0 - 6.0 * t) / 12.0 - 1.0) < 1e-3, (t, lam)
 
 
 def test_mapping_exponent_message_names_key_and_link_dimension(capsys):

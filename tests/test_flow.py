@@ -245,30 +245,31 @@ class TestFixedPointRuns:
 
 
     def test_tiny_t_end_ends_with_two_samples(self, s3):
-        # the sample clock's slack is relative to t_end; an absolute 1e-12
-        # took 1e-12 / sample_period passes to catch up, 5.5e9 here
+        # every sample interval ends exactly on its sample time, however
+        # small t_end is, and the last one on t_end
         grid = RadialGrid.graded(200, 2.0, p=1.0)
         met = perturbed_cone(s3, grid, amplitude=0.01, exponent=2.0,
                              cutoff=0.7)
         cfg = FlowConfig(t_end=1e-20, reference=flat_cone(s3, grid),
-                         sample_period=1e-20 / 55)
-        assert [s.t for s in run_flow(met, cfg)] == [0.0, 1e-20]
+                         samples=55)
+        assert [s.t for s in run_flow(met, cfg)] == [
+            1e-20 * (j / 55) for j in range(56)]
 
 
 class TestTimeAccuracy:
     def test_sup_ric_final_at_default_step_matches_small_step(self, s3):
         # sup |Ric| sits at the first live node, next to the slaved tip
         # band: a solve that couples that node to a stale band value leaves
-        # an error linear in dt there (+28% at cfl 0.4)
-        assert FlowConfig(t_end=1.0).cfl == CONFIG_SCHEMA["flow"]["cfl"][1]
+        # an error linear in dt there (+28% at dt = 0.4 min(dx)^2)
+        samples = CONFIG_SCHEMA["flow"]["samples"][1]
         g = RadialGrid.graded(200, 2.0, p=1.0)
         pert = perturbed_cone(s3, g, amplitude=0.01, exponent=2.0, cutoff=0.7)
         ref = flat_cone(s3, g)
         default, small = (
             run_flow(pert, FlowConfig(t_end=0.004, reference=ref,
-                                      entropy_kind="none", **kw))[-1].sup_ric
-            for kw in ({}, {"cfl": 0.05}))
-        assert abs(default / small - 1.0) < 0.01
+                                      entropy_kind="none", samples=n))[-1]
+            for n in (samples, 20 * samples))
+        assert abs(default.sup_ric / small.sup_ric - 1.0) < 0.01
 
 
 class TestMonotonicity:
@@ -281,7 +282,7 @@ class TestMonotonicity:
         ref = flat_cone(s3, g)
         T = 0.004
         cfg = FlowConfig(t_end=T, normalization="steady",
-                         entropy_kind="lambda", sample_period=T / 55.0,
+                         entropy_kind="lambda", samples=55,
                          reference=ref)
         traj = run_flow(pert, cfg)
         rep = monotonicity_report(traj, cfg)
@@ -297,7 +298,7 @@ class TestMonotonicity:
     def test_shrink_fixed_point_mu_constant(self, s3):
         met = sphere_suspension(s3, 300, radius=math.sqrt(3.0))
         cfg = FlowConfig(t_end=0.01, normalization="shrink",
-                         entropy_kind="mu_minus", sample_period=0.002)
+                         entropy_kind="mu_minus", samples=5)
         traj = run_flow(met, cfg)
         rep = monotonicity_report(traj, cfg)
         assert rep.passed
@@ -307,13 +308,11 @@ class TestMonotonicity:
 
     def test_smooth_sphere_under_steady_flow(self, s3):
         # the unit sphere shrinks homothetically under the unnormalized
-        # flow; lambda = 12/c(t) is strictly increasing along it.  The
-        # fitted cone factor tracks sqrt(c(t)), so the drift guard must be
-        # relaxed for this run
+        # flow; lambda = 12/c(t) is strictly increasing along it.  Its
+        # poles keep their cone angle, so the default drift guard holds
         met = sphere_suspension(s3, 300, radius=1.0)
         cfg = FlowConfig(t_end=0.01, normalization="steady",
-                         entropy_kind="lambda", sample_period=0.001,
-                         cone_drift_bound=10.0)
+                         entropy_kind="lambda", samples=10)
         traj = run_flow(met, cfg)
         vals = np.array([s.entropy_value for s in traj])
         assert abs(vals[0] - 12.0) < 1e-6
@@ -353,7 +352,7 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             FlowConfig(t_end=0.0)
         with pytest.raises(ValueError):
-            FlowConfig(t_end=1.0, cfl=1.5)
+            FlowConfig(t_end=1.0, samples=0)
         with pytest.raises(ValueError):
             FlowConfig(t_end=1.0, normalization="slow")
         with pytest.raises(ValueError):
