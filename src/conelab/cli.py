@@ -495,23 +495,30 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _add_shorthands(parser: argparse.ArgumentParser, flags: dict) -> None:
+    for flag, dest in flags.items():
+        parser.add_argument(flag, dest=dest, metavar="VALUE",
+                            help=f"shorthand for --set {dest}=VALUE")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _ArgumentParser(
         prog="conelab",
         description="entropy functionals and singular Ricci-de Turck flow "
                     "on radial conical metrics")
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _RUNNERS:
-        sp = subs.add_parser(name, help=f"run the {name} harness")
-        sp.add_argument("--config", help="INI configuration file")
-        sp.add_argument("--set", action="append", default=[],
+    # the options every subcommand shares, built once and copied into each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="INI configuration file")
+    common.add_argument("--set", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override a single config value")
-        flags = {**_FLAGS, **_SUBCOMMAND_FLAGS.get(name, {})}
-        for flag, dest in flags.items():
-            sp.add_argument(flag, dest=dest, metavar="VALUE",
-                            help=f"shorthand for --set {dest}=VALUE")
+    _add_shorthands(common, _FLAGS)
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for name in _RUNNERS:
+        sp = subs.add_parser(name, help=f"run the {name} harness",
+                             parents=[common])
+        _add_shorthands(sp, _SUBCOMMAND_FLAGS.get(name, {}))
 
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,9 @@ its modes a block of orders per call.
 `heat_apply` forms no dense kernel matrix: below the branch point z = 30
 the series factorizes and is summed by prefix sums, and above it the kernel
 is evaluated on each row's Gaussian band only; both agree with the kernel
-above to roundoff.
+above to roundoff.  The prefix sums run along one row for a nonnegative
+source, and along two for a signed one, whose second row, of |g|, only
+decides where the series stops.
 
 `heat_sup` returns max|heat_apply| bit for bit without every near band.
 On z > 30, e^{-z} I_nu(z) sqrt(2 pi z) <= 1.01 for every nu >= 0 (it is 1
@@ -172,56 +174,63 @@ def _source_on_rule(u, grid: RadialGrid, n: int, quad_pts: int):
     return vals, xq, uq * xq**n * wq
 
 
-def _split_pairs(link: "LinkData", t: float, u, grid: RadialGrid,
-                 mode: float, quad_pts: int):
-    """Checked inputs of `heat_apply` and `heat_sup`, and where their pairs split.
-
-    Returns nu, the y-rule's nodes xq, the weighted source g on them, each
-    row's far-field length split (nodes j < split_i have z <= 30), and the
-    start lo and length count of each row's near band.
-    """
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError("time t must be finite and positive")
-    x = grid.x
+def _weighted_source(link: "LinkData", u, grid: RadialGrid, quad_pts: int):
+    """The y-rule's nodes xq and the weighted source g on them, as in
+    `_source_on_rule`; warns if u carries mass at the outer radius L."""
     vals, xq, g = _source_on_rule(u, grid, link.n, quad_pts)
     # warn if u carries mass the truncated quadrature domain cannot absorb
     edge = np.abs(vals[-1]) * grid.L**link.n
     if edge > 1e-12 * max(1.0, np.max(np.abs(vals))):
         warnings.warn("field has mass near the outer truncation radius",
                       stacklevel=3)
+    return xq, g
+
+
+def _split_pairs(t: float, x, xq):
+    """Where the pairs of the grid nodes x and the y-rule's nodes xq split.
+
+    Returns each row's far-field length split (nodes j < split_i have
+    z <= 30), and the start lo and length count of its near band.
+    """
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError("time t must be finite and positive")
     # split_i is the first node y with z = x_i y / 2t past the series range
     split = np.searchsorted(xq, 2.0 * t * _SERIES_MAX_Z / x, side="right")
     reach = math.sqrt(4.0 * t * 41.0)
     lo = np.maximum(split, np.searchsorted(xq, x - reach, side="left"))
     count = np.maximum(np.searchsorted(xq, x + reach, side="right") - lo, 0)
-    return nu_from_mode(link.n, mode), xq, g, split, lo, count
+    return split, lo, count
 
 
 def _far_field(n: int, nu: float, t: float, x, xq, g, split) -> np.ndarray:
     """Each row's sum over its pairs with z <= 30, by the separable series.
 
     Row i sums A_k(x_i) times the prefix sum of A_k(y) y^{-(n-1)/2} g(y)
-    over the nodes j < split_i, and of its absolute value, which decides
-    where the series stops.
+    over the nodes j < split_i.  The stop rule reads the same sums of |g|;
+    a nonnegative source is its own |g|, so it carries one prefix-sum row,
+    and a signed one a second row for |g|.
     """
     r = np.count_nonzero(split)  # split falls as x grows
     far = np.zeros(x.size)
     if r:
-        m, cut = split[0], split[:r]
+        m, cut = split[0], split[:r] - 1
         s = np.concatenate([x[:r], xq[:m]])
-        a = np.exp(nu * np.log(s / (2.0 * math.sqrt(t))) - s * s / (4.0 * t)
+        ss = s * s
+        a = np.exp(nu * np.log(s / (2.0 * math.sqrt(t))) - ss / (4.0 * t)
                    - 0.5 * math.lgamma(nu + 1.0))
         gf = g[:m] * xq[:m] ** (-(n - 1) / 2.0)
-        gf = np.column_stack([gf, np.abs(gf)])
-        total = np.zeros((r, 2))
+        gf = gf[None] if (gf >= 0).all() else np.stack([gf, np.abs(gf)])
+        total = np.zeros((len(gf), r))
+        rows = np.empty(gf.shape)  # this term's prefix sums, row by row
         for k in range(_SERIES_TERMS + 1):
             if k:
-                a *= s * s / (4.0 * t * math.sqrt(k * (k + nu)))
-            term = a[:r, None] * np.cumsum(a[r:, None] * gf, axis=0)[cut - 1]
+                a *= ss / (4.0 * t * math.sqrt(k * (k + nu)))
+            np.cumsum(np.multiply(a[r:], gf, out=rows), axis=1, out=rows)
+            term = a[:r] * rows.take(cut, axis=1)
             total += term
-            if k > 4 and np.max(term[:, 1]) <= 1e-18 * np.max(total[:, 1]):
+            if k > 4 and term[-1].max() <= 1e-18 * total[-1].max():
                 break
-        far[:r] = total[:, 0] * x[:r] ** (-(n - 1) / 2.0) / (2.0 * t)
+        far[:r] = total[0] * x[:r] ** (-(n - 1) / 2.0) / (2.0 * t)
     return far
 
 
@@ -260,7 +269,9 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
     the Gaussian band (x-y)^2/4t <= 41; the pairs outside it contribute
     below 2e-18 of the kernel scale.
     """
-    nu, xq, g, split, lo, count = _split_pairs(link, t, u, grid, mode, quad_pts)
+    xq, g = _weighted_source(link, u, grid, quad_pts)
+    split, lo, count = _split_pairs(t, grid.x, xq)
+    nu = nu_from_mode(link.n, mode)
     return (_far_field(link.n, nu, t, grid.x, xq, g, split)
             + _near_field(link.n, nu, t, grid.x, xq, g, lo, count))
 
@@ -276,8 +287,14 @@ def heat_sup(link: "LinkData", t: float, u, grid: RadialGrid,
     whose |far| plus that bound reaches best evaluate their band: the others
     cannot hold the maximum.
     """
-    n, x = link.n, grid.x
-    nu, xq, g, split, lo, count = _split_pairs(link, t, u, grid, 0.0, quad_pts)
+    return _sup_on_rule(link.n, t, grid.x,
+                        *_weighted_source(link, u, grid, quad_pts))
+
+
+def _sup_on_rule(n: int, t: float, x, xq, g) -> float:
+    """`heat_sup` of the weighted source g on the y-rule's nodes xq."""
+    nu = nu_from_mode(n, 0.0)
+    split, lo, count = _split_pairs(t, x, xq)
     far = _far_field(n, nu, t, x, xq, g, split)
     best = np.max(np.abs(far[count == 0]), initial=-np.inf)
     pre = np.concatenate([[0.0], np.cumsum(xq ** (-n / 2.0) * np.abs(g))])
@@ -450,7 +467,8 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     exponent fitted on x in [0.012, 0.1] against the predicted table
     (bounded for N < 2, log for N = 2, -N+2 for N > 2, within 0.1) and the
     fitted temporal slope of sup|H(t)f| against -N/2 (within 0.15).
-    The sups come from `heat_sup`, bit-identical to max|H(t)f|.
+    The sups come from `heat_sup`'s rule on one evaluation of f, bit-identical
+    to max|H(t)f|.
     """
     n = link.n
     if not (0 < N_exp <= n):
@@ -469,7 +487,8 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     sel = (x >= 0.012) & (x <= 0.1)
     cls = classify_tip_behavior(x[sel], conv[sel])
 
-    sups = np.array([heat_sup(link, t, f, grid, 2) for t in t_grid])
+    xq, g = _weighted_source(link, f, grid, 2)
+    sups = np.array([_sup_on_rule(n, t, x, xq, g) for t in t_grid])
     tslope = float(np.polyfit(np.log(t_grid), np.log(sups), 1)[0])
 
     predicted = -N_exp + 2.0

@@ -88,6 +88,17 @@ class TestArtifacts:
                 / "effective.ini").read_bytes()
         assert eff1 == eff2
 
+    def test_set_override_does_not_carry_into_the_next_call(self, tmp_path):
+        # every subcommand copies --set from one parent parser; its list
+        # default must not collect one call's overrides for the next
+        assert main(["heat-check", "--set", "mu.tau=0.25",
+                     "--output-dir", "s1"]) == EXIT_OK
+        assert main(["heat-check", "--output-dir", "s2"]) == EXIT_OK
+        first = parse_config(str(tmp_path / "s1" / "effective.ini"))
+        second = parse_config(str(tmp_path / "s2" / "effective.ini"))
+        assert first["mu"]["tau"] == 0.25
+        assert second["mu"]["tau"] == cli._default_config()["mu"]["tau"] != 0.25
+
     def test_reports_deterministic_modulo_timestamp(self, tmp_path):
         for out in ("h1", "h2"):
             assert main(["heat-check", "--seed", "3",

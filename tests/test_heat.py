@@ -377,6 +377,53 @@ class TestHeatApply:
             heat_apply(s3, 0.01, np.ones(200), grid)
 
 
+def _far_field_two_columns(n, nu, t, x, xq, g, split):
+    # the far-field loop with a column of |g| for every source, and every
+    # invariant recomputed per term: the bitwise reference
+    r = np.count_nonzero(split)
+    far = np.zeros(x.size)
+    if r:
+        m, cut = split[0], split[:r]
+        s = np.concatenate([x[:r], xq[:m]])
+        a = np.exp(nu * np.log(s / (2.0 * math.sqrt(t))) - s * s / (4.0 * t)
+                   - 0.5 * math.lgamma(nu + 1.0))
+        gf = g[:m] * xq[:m] ** (-(n - 1) / 2.0)
+        gf = np.column_stack([gf, np.abs(gf)])
+        total = np.zeros((r, 2))
+        for k in range(heat._SERIES_TERMS + 1):
+            if k:
+                a *= s * s / (4.0 * t * math.sqrt(k * (k + nu)))
+            term = a[:r, None] * np.cumsum(a[r:, None] * gf, axis=0)[cut - 1]
+            total += term
+            if k > 4 and np.max(term[:, 1]) <= 1e-18 * np.max(total[:, 1]):
+                break
+        far[:r] = total[:, 0] * x[:r] ** (-(n - 1) / 2.0) / (2.0 * t)
+    return far
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+@pytest.mark.parametrize("mode", [0.0, 8.0])
+def test_far_field_matches_two_column_loop(name, mode):
+    lk = linkmod.get_link(name)
+    nu = nu_from_mode(lk.n, mode)
+    bump = lambda y: np.exp(-((y - 0.8) / 0.3) ** 2)
+    sources = {"nonnegative": lambda y: bump(y) + 0.2,
+               "sign-changing": lambda y: bump(y) * np.cos(3 * y) + 0.2,
+               "zero": lambda y: np.zeros_like(y)}
+    for N, L, p in ((200, 3.0, 2.0), (150, 5.0, 1.0)):
+        grid = RadialGrid.graded(N, L, p=p)
+        for kind, f in sources.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                xq, g = heat._weighted_source(lk, f, grid, 4)
+            assert (g < 0).any() == (kind == "sign-changing")
+            for t in (1e-7, 5e-4, 3e-3, 0.05, 1.0, 20.0):
+                split, _, _ = heat._split_pairs(t, grid.x, xq)
+                args = (lk.n, nu, t, grid.x, xq, g, split)
+                assert np.array_equal(heat._far_field(*args),
+                                      _far_field_two_columns(*args)), (kind, p, t)
+
+
 class TestHeatSup:
     T_MAPPING = np.geomspace(5e-4, 0.02, 7)
 
@@ -406,13 +453,19 @@ class TestHeatSup:
                 full = heat_apply(s3, t, u, grid, quad_pts=2)
                 assert heat_sup(s3, t, u, grid, 2) == np.max(np.abs(full)), t
 
+    def test_outer_mass_warning(self, s3):
+        grid = RadialGrid.graded(200, 1.0, p=1.0)
+        with pytest.warns(UserWarning, match="truncation"):
+            heat_sup(s3, 0.01, np.ones(200), grid, 2)
+
     def test_every_row_with_a_near_band_is_evaluated(self, s3):
         # nodes from x = 0.5 at t = 5e-4: every row has near pairs, so no row
         # is exact before its band is summed
         grid = RadialGrid(x=np.linspace(0.5, 1.5, 300), L=1.5)
         f = lambda y: np.sin(7.0 * y) * geometry.smooth_cutoff(y, 1.1, 1.4)
         t = 5e-4
-        _, _, _, _, _, count = heat._split_pairs(s3, t, f, grid, 0.0, 2)
+        xq, _ = heat._weighted_source(s3, f, grid, 2)
+        _, _, count = heat._split_pairs(t, grid.x, xq)
         assert np.all(count > 0)
         full = heat_apply(s3, t, f, grid, quad_pts=2)
         assert heat_sup(s3, t, f, grid, 2) == np.max(np.abs(full))
