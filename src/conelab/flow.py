@@ -111,7 +111,12 @@ def deturck_vector_field(metric: RadialMetric,
 
 def flow_rhs(metric: RadialMetric,
              config: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Component rates (da/dt, db/dt) of the normalized de Turck flow."""
+    """Component rates (da/dt, db/dt) of the normalized de Turck flow.
+
+    A config.reference of None makes metric its own reference, so W is zero
+    up to roundoff; `run_flow` always fills the reference in, with the
+    initial metric where its config leaves it None.
+    """
     ref = config.reference if config.reference is not None else metric
     kappa = _KAPPA[config.normalization]
     w = deturck_vector_field(metric, ref)

@@ -19,7 +19,8 @@ the series factorizes and is summed by prefix sums, and above it the kernel
 is evaluated on each row's Gaussian band only; both agree with the kernel
 above to roundoff.  The prefix sums run along one row for a nonnegative
 source, and along two for a signed one, whose second row, of |g|, only
-decides where the series stops.
+decides where the series stops.  Each call puts its source on the y-rule
+once, as the weighted source g, and `heat_convolve`'s tail reuses it.
 
 `heat_sup` returns max|heat_apply| bit for bit without every near band.
 On z > 30, e^{-z} I_nu(z) sqrt(2 pi z) <= 1.01 for every nu >= 0 (it is 1
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
@@ -150,20 +150,14 @@ def _panel_gauss(edges: np.ndarray, npts: int):
     return nodes, weights
 
 
-@lru_cache(maxsize=32)
-def _gauss_rule_cached(key):
-    x_tuple, npts = key
-    return _panel_gauss(np.concatenate([[0.0], x_tuple]), npts)
-
-
-def _source_on_rule(u, grid: RadialGrid, n: int, quad_pts: int):
-    """u on the grid, the y-rule's nodes y, and u(y) y^n times its weights.
+def _weighted_source(link: "LinkData", u, grid: RadialGrid, quad_pts: int):
+    """The y-rule's nodes xq and u(y) y^n times its weights, g, on them.
 
     The y-rule has quad_pts Gauss nodes on every panel between 0 and the
-    grid nodes.
+    grid nodes.  Warns if u carries mass at the outer radius L.
     """
     x = grid.x
-    xq, wq = _gauss_rule_cached((tuple(x), quad_pts))
+    xq, wq = _panel_gauss(np.concatenate([[0.0], x]), quad_pts)
     if callable(u):
         vals = u(x)
         uq = u(xq)
@@ -171,19 +165,12 @@ def _source_on_rule(u, grid: RadialGrid, n: int, quad_pts: int):
         from scipy.interpolate import CubicSpline
         vals = np.asarray(u, dtype=float)
         uq = CubicSpline(x, vals, extrapolate=True)(xq)
-    return vals, xq, uq * xq**n * wq
-
-
-def _weighted_source(link: "LinkData", u, grid: RadialGrid, quad_pts: int):
-    """The y-rule's nodes xq and the weighted source g on them, as in
-    `_source_on_rule`; warns if u carries mass at the outer radius L."""
-    vals, xq, g = _source_on_rule(u, grid, link.n, quad_pts)
     # warn if u carries mass the truncated quadrature domain cannot absorb
     edge = np.abs(vals[-1]) * grid.L**link.n
     if edge > 1e-12 * max(1.0, np.max(np.abs(vals))):
         warnings.warn("field has mass near the outer truncation radius",
                       stacklevel=3)
-    return xq, g
+    return xq, uq * xq**link.n * wq
 
 
 def _split_pairs(t: float, x, xq):
@@ -269,11 +256,15 @@ def heat_apply(link: "LinkData", t: float, u, grid: RadialGrid,
     the Gaussian band (x-y)^2/4t <= 41; the pairs outside it contribute
     below 2e-18 of the kernel scale.
     """
-    xq, g = _weighted_source(link, u, grid, quad_pts)
-    split, lo, count = _split_pairs(t, grid.x, xq)
-    nu = nu_from_mode(link.n, mode)
-    return (_far_field(link.n, nu, t, grid.x, xq, g, split)
-            + _near_field(link.n, nu, t, grid.x, xq, g, lo, count))
+    return _apply_on_rule(link.n, nu_from_mode(link.n, mode), t, grid.x,
+                          *_weighted_source(link, u, grid, quad_pts))
+
+
+def _apply_on_rule(n: int, nu: float, t: float, x, xq, g) -> np.ndarray:
+    """`heat_apply` in order nu of the weighted source g on the rule xq."""
+    split, lo, count = _split_pairs(t, x, xq)
+    return (_far_field(n, nu, t, x, xq, g, split)
+            + _near_field(n, nu, t, x, xq, g, lo, count))
 
 
 def heat_sup(link: "LinkData", t: float, u, grid: RadialGrid,
@@ -335,11 +326,12 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
     y-rule, the only thing quad_pts sets, by two cumulative sums, and the
     kink at y = x lies on a panel edge.  In s = t/sigma in (0, 1] the tail's
     integrand is s^{nu-1} times an analytic function: a Gauss-Jacobi rule
-    with n = max(8, ceil(2 L / sqrt t)) nodes takes it, one `heat_apply` at
-    sigma = t/s >= t per node.  For nu = 0 (the S^1 link), where G is
-    infinite, 1/(2 sigma) is subtracted on sigma > t: G_0(x, y) =
-    -log max(x, y) + log 2 - gamma_E/2 + (1/2) log t, and the tail integrand
-    h_0 - 1/(2 sigma) is analytic at s = 0, so the rule is Gauss-Legendre.
+    with n = max(8, ceil(2 L / sqrt t)) nodes takes it, one H(t/s) per
+    node on the weighted source that G runs on, so f goes onto the y-rule
+    once.  For nu = 0 (the S^1 link), where G is infinite,
+    1/(2 sigma) is subtracted on sigma > t: G_0(x, y) = -log max(x, y) +
+    log 2 - gamma_E/2 + (1/2) log t, and the tail integrand h_0 - 1/(2 sigma)
+    is analytic at s = 0, so the rule is Gauss-Legendre.
 
     G f and the tail are both O(integral f) while their difference is O(t):
     about log10(L^2/t) digits cancel, and n grows like L/sqrt t, so for
@@ -350,9 +342,9 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
     if not (np.isfinite(t) and t > 0):
         raise ValueError("time t must be finite and positive")
     n = link.n
-    nu = (n - 1) / 2.0
+    nu = nu_from_mode(n, 0.0)
     x = grid.x
-    _, xq, g = _source_on_rule(f, grid, n, quad_pts)
+    xq, g = _weighted_source(link, f, grid, quad_pts)
     below = np.searchsorted(xq, x)  # the nodes y < x_i are xq[:below[i]]
     nodes = max(8, math.ceil(2.0 * grid.L / math.sqrt(t)))
 
@@ -376,7 +368,7 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
     s, w = _gauss_jacobi(nodes, beta)
     w = w * s**-beta
     tail = sum(wi * t / si**2
-               * (heat_apply(link, t / si, f, grid, quad_pts=quad_pts)
+               * (_apply_on_rule(n, nu, t / si, x, xq, g)
                   - si / (2.0 * t) * mass)
                for si, wi in zip(s, w))
     return green - tail

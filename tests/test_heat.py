@@ -317,7 +317,8 @@ class TestHeatApply:
         f = lambda y: np.exp(-((y - 0.8) / 0.3) ** 2) * np.cos(3 * y) + 0.2
         for N, L, p in ((200, 3.0, 2.0), (150, 5.0, 1.0)):
             grid = RadialGrid.graded(N, L, p=p)
-            nodes, weights = heat._gauss_rule_cached((tuple(grid.x), 4))
+            nodes, weights = heat._panel_gauss(
+                np.concatenate([[0.0], grid.x]), 4)
             X, Y = grid.x[:, None], nodes[None, :]
             for t in (1e-7, 1e-4, 3e-3, 0.05, 1.0, 20.0):
                 kern = np.where((X - Y) ** 2 <= 4.0 * t * 41.0,
@@ -533,6 +534,32 @@ def test_heat_convolve_resolvent_identity(s3):
     assert abs(ratio - expect) < 0.02 * expect
 
 
+def test_heat_convolve_warns_once_at_the_caller(s3):
+    """A source with mass at L warns once, attributed to the caller's file,
+    not once per tail node from inside heat.py."""
+    grid = RadialGrid.graded(200, 1.0, p=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        heat_convolve(s3, 1.0, np.ones(200), grid)
+    assert [str(w.message) for w in caught] == [
+        "field has mass near the outer truncation radius"]
+    assert caught[0].filename == __file__
+
+
+def test_heat_convolve_evaluates_its_source_once(s3):
+    """A callable source is called twice, on the grid and on the y-rule,
+    however many tail nodes the Gauss-Jacobi rule takes."""
+    grid = RadialGrid.graded(200, 1.0, p=1.0)
+    calls = []
+
+    def f(y):
+        calls.append(y.size)
+        return np.exp(-((y - 0.4) / 0.1) ** 2)
+
+    heat_convolve(s3, grid.L**2, f, grid, quad_pts=2)
+    assert calls == [grid.N, 2 * grid.N]
+
+
 @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0, 2.3])
 def test_gauss_jacobi_rule_matches_scipy(beta):
     """The Golub-Welsch rule for the weight s^beta on [0, 1] is scipy's
@@ -556,7 +583,7 @@ def _composite_sigma_convolution(lk, t, sources, grid, rows):
     nu = nu_from_mode(n, 0.0)
     sigmas, weights = heat._panel_gauss(
         t * 10.0 ** -np.linspace(8.0, 0.0, 17), 8)
-    y, wy = heat._gauss_rule_cached((tuple(grid.x), 8))
+    y, wy = heat._panel_gauss(np.concatenate([[0.0], grid.x]), 8)
     g = np.column_stack([f(y) * y**n * wy for f in sources])
     keep = np.any(g != 0.0, axis=1)
     X, Y = np.broadcast_arrays(grid.x[rows][:, None], y[keep][None, :])
