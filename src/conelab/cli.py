@@ -353,8 +353,9 @@ def cmd_nu(cfg: dict) -> dict:
         "tau_star": rep.tau_star,
         "variant": rep.variant,
         "lambda_value": rep.lambda_value,
+        "tau_star_at_edge": rep.tau_edge,
         "optimal_slice": _mu_report_dict(rep.mu_report, metric.grid),
-        "pass": _residual_gate(cfg, rep.mu_report),
+        "pass": rep.tau_edge is None and _residual_gate(cfg, rep.mu_report),
     }
 
 
@@ -403,6 +404,7 @@ def cmd_flow(cfg: dict) -> dict:
 
 
 def cmd_heat_check(cfg: dict) -> dict:
+    link = build_link(cfg)
     h = cfg["heat"]
     rng = np.random.default_rng(cfg["run"]["seed"])
     ns = h["n_samples"]
@@ -411,10 +413,11 @@ def cmd_heat_check(cfg: dict) -> dict:
     y = rng.uniform(0.1, 2.0, ns)
     dth = rng.uniform(-math.pi, math.pi, ns)
     err = heat.s1_plane_kernel_error(t, x, y, dth)
-    mass = heat.kernel_mass(3, 0.01, 1.0)
+    mass = heat.kernel_mass(link.n, 0.01, 1.0)
     mass_err = abs(mass - 1.0)
     tol = cfg["tolerances"]["heat_error"]
     return {
+        "link": link.name,
         "plane_equality_max_relative_error": err,
         "mass_conservation_error": mass_err,
         "n_samples": ns,

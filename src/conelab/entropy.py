@@ -232,6 +232,7 @@ class NuReport:
     mu_report: MuReport
     tau_profile: np.ndarray = field(repr=False)
     mu_profile: np.ndarray = field(repr=False)
+    tau_edge: str | None = None  # "tau_min" or "tau_max" if tau* lies on it
 
 
 # points of the coarse log-tau scan, and the bounded minimizer's stopping
@@ -249,7 +250,8 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     boundary and the quantity is not defined.  Coarse scan on a log-tau
     grid, then refinement on the scan's bracket by `spectral.bounded_minimize`
     (Brent's bounded method, the one the tip fits use), warm-starting each
-    solve from the neighboring optimizer.
+    solve from the neighboring optimizer.  tau_edge names the bound of
+    tau_range that tau* lies on, within the minimizer's final bracket.
     """
     sign = _sign(variant)  # minimize sign * mu
     lam = compute_lambda(metric).value
@@ -278,13 +280,19 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     else:
         lo, hi = lts[k - 1], lts[k + 1]
 
-    best = cache[spectral.bounded_minimize(mu_at, lo, hi, _LOG_TAU_TOL)]
+    lt = spectral.bounded_minimize(mu_at, lo, hi, _LOG_TAU_TOL)
+    best = cache[lt]
+    # the minimizer stops once its bracket is at most 4 tol1 wide; a tau*
+    # that close to a bound is the bound, not an interior minimum
+    width = 4.0 * (math.sqrt(2.2e-16) * abs(lt) + _LOG_TAU_TOL / 3.0)
+    edge = next((name for name, bound in zip(("tau_min", "tau_max"), tau_range)
+                 if abs(lt - math.log(bound)) <= width), None)
     order = np.argsort(list(cache.keys()))
     taus = np.exp(np.array(list(cache.keys()))[order])
     mus = np.array([cache[k].value for k in cache])[order]
     return NuReport(value=best.value, tau_star=best.tau, variant=variant,
                     lambda_value=lam, mu_report=best,
-                    tau_profile=taus, mu_profile=mus)
+                    tau_profile=taus, mu_profile=mus, tau_edge=edge)
 
 
 # -- first variation of lambda ---------------------------------------------------

@@ -9,10 +9,10 @@ the large-z expansion (DLMF 10.40.1) where z > 30 and 4 nu^2 <= z, which
 scipy.special.ive does not beat there, and from ive elsewhere; the scaled
 variant e^{-z} I_nu(z) stays finite far beyond the overflow range and lets
 the kernel be assembled through the stable combination
-exp(z - (x^2+y^2)/4t) = exp(-(x-y)^2/4t).  `bessel_i` and
-`cone_kernel_mode` also take a 1-D array of orders, a leading axis whose
-rows equal the one-order calls bit for bit; `s1_plane_kernel_error` takes
-its modes a block of orders per call.
+exp(z - (x^2+y^2)/4t) = exp(-(x-y)^2/4t).  In `bessel_i` and
+`cone_kernel_mode` nu broadcasts against the other arguments, as in
+scipy.special.ive, and every entry equals the one-order call bit for bit;
+`s1_plane_kernel_error` takes its modes a block of orders per call.
 
 `heat_apply` forms no dense kernel matrix: below the branch point z = 30
 the series factorizes and is summed by prefix sums, and above it the kernel
@@ -54,7 +54,7 @@ _PLANE_BLOCK = 32
 def _bessel_i_bigz_scaled(nu, z: np.ndarray) -> np.ndarray:
     """e^{-z} I_nu(z) by the fixed-order large-z expansion (needs 4 nu^2 <~ z).
 
-    nu is one order, or one order per entry of z.
+    nu broadcasts against z.
     """
     total = np.ones_like(z)
     term = np.ones_like(z)
@@ -71,11 +71,11 @@ def _bessel_i_bigz_scaled(nu, z: np.ndarray) -> np.ndarray:
 
 
 def bessel_i(nu, z, scaled: bool = False):
-    """Modified Bessel function I_nu(z) for nu >= 0, z >= 0 (vectorized in z).
+    """Modified Bessel function I_nu(z) for nu >= 0, z >= 0.
 
-    nu is one order or a 1-D array of K orders; an array gives a leading
-    orders axis, shape (K,) + z.shape, whose row k equals bessel_i(nu[k], z)
-    bit for bit: every entry takes its branch on its own (nu, z).
+    nu broadcasts against z, as in scipy.special.ive, and every entry takes
+    its branch on its own (nu, z), so it equals the one-order call bit for
+    bit; shapes that do not broadcast raise numpy's ValueError.
 
     Entries with z > 30 and 4 nu^2 <= z come from the large-z expansion
     (DLMF 10.40.1), which scipy.special.ive does not beat there and which
@@ -85,37 +85,21 @@ def bessel_i(nu, z, scaled: bool = False):
     scaled=True returns e^{-z} I_nu(z), finite for huge arguments; the plain
     variant overflows to inf past z ~ 709 as e^z does.
     """
-    nu_arr = np.asarray(nu, dtype=float)
-    if nu_arr.ndim > 1:
-        raise ValueError("order nu must be a scalar or a 1-D array")
-    orders = np.atleast_1d(nu_arr)
-    if np.any(orders < 0):
+    nu, z = np.broadcast_arrays(np.asarray(nu, dtype=float),
+                                np.asarray(z, dtype=float))
+    if np.any(nu < 0):
         raise ValueError("order nu must be >= 0")
-    z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    if np.any(z_arr < 0):
+    if np.any(z < 0):
         raise ValueError("argument z must be >= 0")
     from scipy.special import ive
-    column = orders.reshape(orders.shape + (1,) * z_arr.ndim)
-    bigz = (z_arr > _SERIES_MAX_Z) & (4.0 * column * column <= z_arr)
-    rest = ~bigz
-    nu_rows = np.broadcast_to(column, bigz.shape)
-    z_rows = np.broadcast_to(z_arr, bigz.shape)
-    out = np.empty(bigz.shape)
-    out[rest] = ive(nu_rows[rest], z_rows[rest])
-    if bigz.any():
-        # one order stays a scalar: an order per entry costs the loop two
-        # more array operations per term
-        nu_big = orders[0] if orders.size == 1 else nu_rows[bigz]
-        out[bigz] = _bessel_i_bigz_scaled(nu_big, z_rows[bigz])
+    bigz = (z > _SERIES_MAX_Z) & (4.0 * nu * nu <= z)
+    out = np.empty(z.shape)
+    out[~bigz] = ive(nu[~bigz], z[~bigz])
+    out[bigz] = _bessel_i_bigz_scaled(nu[bigz], z[bigz])
     if not scaled:
         with np.errstate(over="ignore"):
-            out = out * np.exp(z_arr)
-    if nu_arr.ndim == 0:
-        out = out[0]
-        return float(out[0]) if scalar else out
-    return out[:, 0] if scalar else out
+            out = out * np.exp(z)
+    return float(out) if out.ndim == 0 else out
 
 
 def nu_from_mode(n: int, mode: float) -> float:
@@ -126,9 +110,9 @@ def nu_from_mode(n: int, mode: float) -> float:
 def cone_kernel_mode(n: int, nu, t, x, x_tilde):
     """Mode-nu radial heat kernel of the exact (n+1)-dimensional cone.
 
-    t, x and x_tilde may be scalars or arrays that broadcast against each
-    other; every entry of t must be finite and positive.  A 1-D array of
-    orders nu gives a leading orders axis, as in `bessel_i`.
+    nu, t, x and x_tilde may be scalars or arrays that broadcast against
+    each other, as in `bessel_i`; every entry of t must be finite and
+    positive.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t) & (t > 0)):
@@ -409,7 +393,8 @@ def s1_plane_kernel_error(t, x, x_tilde, dtheta) -> float:
     def modes():  # (k, h_k) for k = 0..400, one block of orders at a time
         for start in range(0, 401, _PLANE_BLOCK):
             ks = range(start, min(start + _PLANE_BLOCK, 401))
-            yield from zip(ks, cone_kernel_mode(1, np.array(ks, float), t, x, y))
+            orders = np.array(ks, float).reshape((-1,) + (1,) * t.ndim)
+            yield from zip(ks, cone_kernel_mode(1, orders, t, x, y))
 
     total = np.zeros(t.shape)
     for k, hk in modes():

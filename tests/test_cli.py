@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from conelab import cli, entropy, flow, geometry, spectral
+from conelab import cli, entropy, flow, geometry, heat, spectral
 from conelab.cli import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -117,6 +117,7 @@ class TestArtifacts:
         rep = _report(tmp_path, "h")
         assert rep["schema_version"] == 1
         assert rep["subcommand"] == "heat-check"
+        assert rep["link"] == "S3"
         assert rep["pass"] is True
         assert rep["plane_equality_max_relative_error"] < 1e-8
         assert rep["mass_conservation_error"] < 1e-8
@@ -149,6 +150,7 @@ class TestArtifacts:
         assert min(mu for _, mu in rows) == rep["value"]
         assert (rep["tau_star"], rep["value"]) in rows
         assert abs(rep["tau_star"] - 1.0 / 6.0) < 1e-2
+        assert rep["tau_star_at_edge"] is None
 
 
 class TestExitCodes:
@@ -480,6 +482,38 @@ def test_round_sphere_steady_flow_follows_closed_form(tmp_path, N):
     assert len(rows) == CONFIG_SCHEMA["flow"]["samples"][1] + 1
     for t, lam in rows:
         assert abs(lam * (1.0 - 6.0 * t) / 12.0 - 1.0) < 1e-3, (t, lam)
+
+
+@pytest.mark.parametrize("bound, edge", [
+    ("nu.tau_max=0.1", "tau_max"), ("nu.tau_min=0.3", "tau_min")])
+def test_nu_with_tau_star_on_a_bound_fails(tmp_path, bound, edge):
+    """tau* = 1/6 on the unit S^4 lies outside these ranges: the minimum
+    sits on the bound, which is not the infimum, so the run fails and names
+    the bound, and the stderr warning stays."""
+    args = ["nu", *S4, "--N", "400", "--set", bound, "--output-dir", "e"]
+    with pytest.warns(UserWarning, match="edge of the scan range"):
+        assert main(args) == EXIT_PROPERTY
+    rep = _report(tmp_path, "e")
+    assert rep["tau_star_at_edge"] == edge and rep["pass"] is False
+
+
+def test_heat_check_reads_its_link(tmp_path, monkeypatch):
+    dims = []
+    kernel_mass = heat.kernel_mass
+    monkeypatch.setattr(heat, "kernel_mass", lambda n, t, x: (
+        dims.append(n) or kernel_mass(n, t, x)))
+    assert main(["heat-check", "--link", "S2", "--set", "heat.n_samples=10",
+                 "--output-dir", "h"]) == EXIT_OK
+    rep = _report(tmp_path, "h")
+    assert rep["link"] == "S2" and rep["pass"] is True and dims == [2]
+
+
+def test_heat_check_with_a_missing_link_file_is_one_line(tmp_path, capsys):
+    assert main(["heat-check", "--link", "/nonexistent",
+                 "--output-dir", "h"]) == EXIT_OPERATIONAL
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("conelab: error: ") and "/nonexistent" in line
+    assert not (tmp_path / "h" / "report.json").exists()
 
 
 def test_mapping_exponent_message_names_key_and_link_dimension(capsys):

@@ -71,7 +71,7 @@ class TestBesselI:
     def test_huge_arguments_take_the_expansion(self):
         """ive returns NaN above z ~ 1.08e9; the large-z expansion does not."""
         z = np.array([1e9, 1e12])
-        vals = bessel_i(np.arange(401.0), z, scaled=True)
+        vals = bessel_i(np.arange(401.0)[:, None], z, scaled=True)
         assert np.all(np.isfinite(vals))
         for nu in (0, 1, 400):
             for zi, val in zip(z, vals[nu]):
@@ -89,7 +89,7 @@ class TestBesselI:
 
     @pytest.mark.parametrize("scaled", [True, False])
     def test_orders_axis_rows_match_scalar_calls(self, scaled):
-        """Row k of an array of orders is bessel_i(nu[k], z), bit for bit,
+        """Row k of a column of orders is bessel_i(nu[k], z), bit for bit,
         over z = 0 and over entries that take ive or the large-z expansion
         (z > 30 and 4 nu^2 <= z), each by its own (nu, z)."""
         rng = np.random.default_rng(5)
@@ -102,7 +102,7 @@ class TestBesselI:
         for orders in (np.arange(120.0),
                        np.array([40.0, 0.0, 100.0, 3.5, 0.5, 15.5, 1.0, 7.0,
                                  2.0])):
-            rows = bessel_i(orders, z, scaled=scaled)
+            rows = bessel_i(orders[:, None], z, scaled=scaled)
             assert rows.shape == (orders.size, z.size)
             for nu, row in zip(orders, rows):
                 assert row.tolist() == bessel_i(float(nu), z,
@@ -112,13 +112,31 @@ class TestBesselI:
         assert bessel_i(orders, 45.0).tolist() == [
             bessel_i(nu, 45.0) for nu in orders.tolist()]
         grid = z[:60].reshape(6, 10)
-        assert bessel_i(orders, grid).shape == (3, 6, 10)
+        assert bessel_i(orders[:, None, None], grid).shape == (3, 6, 10)
 
     def test_orders_axis_validation(self):
         with pytest.raises(ValueError):
             bessel_i(np.array([1.0, -1.0]), 1.0)
+        # orders broadcast against z as numpy arrays do, or not at all
         with pytest.raises(ValueError):
-            bessel_i(np.ones((2, 2)), 1.0)
+            bessel_i(np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_orders_broadcast_against_z_entry_by_entry(self, scaled):
+        """A 2-D grid of orders against a 2-D grid of z is the one-order call
+        at every entry, bit for bit, on both sides of the large-z switch."""
+        rng = np.random.default_rng(11)
+        orders = rng.choice([0.0, 0.5, 1.0, 3.5, 15.5, 40.0, 100.0], (8, 12))
+        z = np.concatenate([[0.0, 30.0, np.nextafter(30.0, np.inf)],
+                            rng.uniform(0.0, 30.0, 31),
+                            rng.uniform(30.0, 4e4, 62)]).reshape(8, 12)
+        with np.errstate(over="ignore"):
+            grid = bessel_i(orders, z, scaled=scaled)
+            single = [bessel_i(nu, zi, scaled=scaled)
+                      for nu, zi in zip(orders.ravel().tolist(),
+                                        z.ravel().tolist())]
+        assert grid.shape == (8, 12)
+        assert grid.ravel().tolist() == single
 
     def test_branch_boundary_continuity(self):
         for nu in (0.0, 1.0, 3.5, 12.0):
@@ -231,6 +249,16 @@ class TestConeKernel:
             assert s1_plane_kernel_error(*sample) == err
         assert lasts == [375, 400, 389]
 
+    def test_plane_error_takes_samples_of_any_shape(self):
+        """A block's orders take an axis in front of the samples: a 10 x 10
+        sample gives the error of its 100 entries as a row, and one sample
+        may be a 0-d array."""
+        sample = self._heat_check_samples(4, 0.01)
+        assert (s1_plane_kernel_error(*(v.reshape(10, 10) for v in sample))
+                == s1_plane_kernel_error(*sample))
+        assert (s1_plane_kernel_error(*(v[0] for v in sample))
+                == s1_plane_kernel_error(*(v[:1] for v in sample)))
+
     def test_mode0_matches_sphere_average_of_r4_gaussian(self):
         """Independent quadrature oracle: the radial mode-0 kernel is the
         S^3 average of the 4-dimensional Euclidean Gaussian."""
@@ -286,7 +314,7 @@ class TestConeKernel:
         for n in (1, 3):
             orders = np.concatenate([np.arange(120.0),
                                      [0.5, 3.5, 15.5, 40.0, 100.0]])
-            rows = cone_kernel_mode(n, orders, t, x, y)
+            rows = cone_kernel_mode(n, orders[:, None], t, x, y)
             assert rows.shape == (orders.size, t.size)
             for nu, row in zip(orders, rows):
                 assert row.tolist() == cone_kernel_mode(
