@@ -204,6 +204,8 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     dx_loc = np.gradient(grid.x)
     margin = 3.0 * math.sqrt(2.0 * initial.link.n) * dx_loc
     frozen |= initial.b < margin
+    if frozen.all():  # no live node
+        raise FlowError("grid too small for the frozen boundary bands")
     first_live = int(np.argmin(frozen))
     last_live = N - 1 - int(np.argmin(frozen[::-1]))
     if frozen[first_live:last_live + 1].any():

@@ -41,42 +41,63 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def fornberg_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at x0 on nodes xs.
 
-    Fornberg's recursion (Math. Comp. 51, 1988), run on Python floats: the
-    same IEEE operations in the same order as on numpy scalars, at a
-    fraction of the per-operation cost.
+    Fornberg's recursion (Math. Comp. 51, 1988), run column by column on
+    Python floats: w[k] holds the order-k weights of every node, and each
+    weight takes the same IEEE operations in the same order as on numpy
+    scalars, at a fraction of the per-operation cost.
     """
+    if m < 0:
+        raise ValueError("derivative order m must be nonnegative")
     xs = np.asarray(xs, dtype=float).tolist()
     x0 = float(x0)
     npts = len(xs)
-    c = [[0.0] * (m + 1) for _ in range(npts)]
+    # columns 0-2 are always built: column k reads only columns k and k - 1
+    w0, w1, w2 = w = [[0.0] * npts, [0.0] * npts, [0.0] * npts]
+    for _ in range(m - 2):
+        w.append([0.0] * npts)
+    w0[0] = 1.0
     c1 = 1.0
     c4 = xs[0] - x0
-    c[0][0] = 1.0
     try:
         for i in range(1, npts):
-            ks = range(min(i, m), 0, -1)
+            # columns k > 2, each from i = k; min(i, m) would cost a call
+            high = range(m if m < i else i, 2, -1)
             c2 = 1.0
             c5 = c4
             xi = xs[i]
             c4 = xi - x0
-            for j in range(i):
-                cj = c[j]
+            for j in range(i - 1):
                 c3 = xi - xs[j]
                 c2 *= c3
-                if j == i - 1:
-                    ci = c[i]
-                    for k in ks:
-                        ci[k] = c1 * (k * cj[k - 1] - c5 * cj[k]) / c2
-                    ci[0] = -c1 * c5 * cj[0] / c2
-                for k in ks:
-                    cj[k] = (c4 * cj[k] - k * cj[k - 1]) / c3
-                cj[0] = c4 * cj[0] / c3
+                for k in high:
+                    w[k][j] = (c4 * w[k][j] - k * w[k - 1][j]) / c3
+                a, b = w0[j], w1[j]
+                w2[j] = (c4 * w2[j] - 2.0 * b) / c3
+                w1[j] = (c4 * b - a) / c3
+                w0[j] = c4 * a / c3
+            # the step j = i - 1 also starts row i from node j's weights
+            j = i - 1
+            c3 = xi - xs[j]
+            c2 *= c3
+            for k in high:
+                wk, b = w[k], w[k - 1][j]
+                wk[i] = c1 * (k * b - c5 * wk[j]) / c2
+                wk[j] = (c4 * wk[j] - k * b) / c3
+            a, b = w0[j], w1[j]
+            if i >= 2:
+                c = w2[j]
+                w2[i] = c1 * (2.0 * b - c5 * c) / c2
+                w2[j] = (c4 * c - 2.0 * b) / c3
+            w1[i] = c1 * (a - c5 * b) / c2
+            w1[j] = (c4 * b - a) / c3
+            w0[i] = -c1 * c5 * a / c2
+            w0[j] = c4 * a / c3
             c1 = c2
     except ZeroDivisionError:
         # the product of node gaps underflowed to zero
         raise ValueError("stencil nodes too close together for "
                          "finite-difference weights") from None
-    return np.array([row[m] for row in c])
+    return np.array(w[m])
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,8 @@ _SERIES_TERMS = 90
 _BIGZ_SUP = 1.01
 # orders per cone_kernel_mode call in s1_plane_kernel_error
 _PLANE_BLOCK = 32
+# most Gauss-Jacobi nodes in heat_convolve's tail: an 8 MB eigh matrix
+_MAX_TAIL_NODES = 1024
 
 
 def _bessel_i_bigz_scaled(nu, z: np.ndarray) -> np.ndarray:
@@ -321,16 +323,20 @@ def heat_convolve(link: "LinkData", t: float, f, grid: RadialGrid,
     about log10(L^2/t) digits cancel, and n grows like L/sqrt t, so for
     t << L^2 (below about L^2/200 at L = 5) this is slower than the
     composite rule in sigma it replaced.  `mapping_exponent_report` calls it
-    at t = L^2.
+    at t = L^2.  A t that needs over 1,024 tail nodes raises ValueError.
     """
     if not (np.isfinite(t) and t > 0):
         raise ValueError("time t must be finite and positive")
+    nodes = max(8, math.ceil(2.0 * grid.L / math.sqrt(t)))
+    if nodes > _MAX_TAIL_NODES:
+        raise ValueError(f"time t = {t:g} needs {nodes} tail nodes, over "
+                         f"{_MAX_TAIL_NODES}; the least admissible t here is "
+                         f"{(2.0 * grid.L / _MAX_TAIL_NODES) ** 2:g}")
     n = link.n
     nu = nu_from_mode(n, 0.0)
     x = grid.x
     xq, g = _weighted_source(link, f, grid, quad_pts)
     below = np.searchsorted(xq, x)  # the nodes y < x_i are xq[:below[i]]
-    nodes = max(8, math.ceil(2.0 * grid.L / math.sqrt(t)))
 
     def lower(v):  # sum of v over the nodes y < x_i
         return np.concatenate([[0.0], np.cumsum(v)])[below]

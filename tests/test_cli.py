@@ -239,6 +239,16 @@ class TestExitCodes:
         assert err == ["conelab: error: flow.samples must be at least 1"]
         assert not (tmp_path / "s").exists()
 
+    def test_flow_on_an_all_frozen_grid_is_one_line(self, tmp_path, capsys):
+        # on the 16-node flat cone the tip margin 3 sqrt(2n) dx freezes
+        # every node although b > 0 everywhere: the grid is too small
+        assert main(["flow", "--N", "16", "--output-dir", "f"]) == \
+            EXIT_OPERATIONAL
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["conelab: error: grid too small for the frozen "
+                       "boundary bands"]
+        assert not (tmp_path / "f" / "report.json").exists()
+
     @pytest.mark.parametrize("rows", [["x,a,b", "0.5,1.0,0.5"], ["x,a,b"]])
     def test_degenerate_metric_file_is_one_line(self, tmp_path, capsys,
                                                 rows):

@@ -90,11 +90,48 @@ def test_fornberg_weights_are_exact_on_polynomials(where):
             assert abs(terms.sum() - exact) <= 1e-8 * np.abs(terms).sum()
 
 
-def test_fornberg_weights_reject_underflowing_node_gaps():
+@pytest.mark.parametrize("p", [1.0, 2.0, 10.0])
+@pytest.mark.parametrize("N", [16, 250])
+def test_fornberg_weights_match_numpy_scalars_on_whole_grids(N, p):
+    # every node's window of a graded grid, as RadialGrid._stencils takes
+    # it, and every order up to 4: equal bit for bit, sign of zero included
+    x = RadialGrid.graded(N, 1.0, p=p).x
+    starts = np.clip(np.arange(N) - geometry.STENCIL // 2, 0,
+                     N - geometry.STENCIL)
+    for i, j in enumerate(starts):
+        xs = x[j : j + geometry.STENCIL]
+        for m in range(5):
+            w = geometry.fornberg_weights(xs, x[i], m)
+            ref = _fornberg_on_numpy_scalars(xs, x[i], m)
+            assert w.tobytes() == ref.tobytes()
+
+
+def test_fornberg_weights_match_numpy_scalars_on_random_nodes():
+    # 1 to 9 sorted nodes at scales 1e-8 to 1e8, x0 on a node or between
+    # them, every order up to 4
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        npts = int(rng.integers(1, 10))
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        xs = scale * np.sort(rng.uniform(-1.0, 1.0, npts))
+        for x0 in (xs[rng.integers(npts)], scale * rng.uniform(-1.0, 1.0)):
+            for m in range(5):
+                w = geometry.fornberg_weights(xs, x0, m)
+                ref = _fornberg_on_numpy_scalars(xs, x0, m)
+                assert w.tobytes() == ref.tobytes()
+
+
+def test_fornberg_weights_reject_a_negative_order():
+    with pytest.raises(ValueError, match="nonnegative"):
+        geometry.fornberg_weights(np.arange(1.0, 8.0), 4.0, -1)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_fornberg_weights_reject_underflowing_node_gaps(m):
     # the product of six gaps of 1e-60 underflows to zero
     xs = 1e-60 * np.arange(1.0, 8.0)
     with pytest.raises(ValueError, match="too close together"):
-        geometry.fornberg_weights(xs, xs[0], 2)
+        geometry.fornberg_weights(xs, xs[0], m)
 
 
 def test_metric_validation(s3):

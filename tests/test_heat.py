@@ -588,6 +588,22 @@ def test_heat_convolve_evaluates_its_source_once(s3):
     assert calls == [grid.N, 2 * grid.N]
 
 
+def test_heat_convolve_caps_its_tail_nodes(s3):
+    """At L = 3 and t = 1e-7 the tail would take 18,974 Gauss-Jacobi nodes,
+    a 2.7 GiB Jacobi matrix: the call raises before it evaluates the
+    source, naming t and the smallest admissible t, (2 L / 1024)^2."""
+    grid = RadialGrid.graded(200, 3.0, p=1.0)
+    calls = []
+
+    def f(y):
+        calls.append(y.size)
+        return np.ones_like(y)
+
+    with pytest.raises(ValueError, match=r"t = 1e-07 .* 3\.43323e-05$"):
+        heat_convolve(s3, 1e-7, f, grid)
+    assert calls == []
+
+
 @pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0, 2.3])
 def test_gauss_jacobi_rule_matches_scipy(beta):
     """The Golub-Welsch rule for the weight s^beta on [0, 1] is scipy's
