@@ -43,7 +43,6 @@ MAX_NODES = 100_000
 # include an end, "(", ")" exclude it, and an open finite lower end is 0.
 CONFIG_SCHEMA = {
     "run": {
-        "subcommand": (str, ""),
         "seed": (int, 0, "[0, inf)"),
         "output_dir": (str, "out"),
     },
@@ -174,7 +173,7 @@ def _validate(cfg: dict) -> None:
     if c["base_N"] * 2 ** c["refinements"] > MAX_NODES:
         raise ConfigError("convergence.base_N * 2**convergence.refinements "
                           f"must be at most {MAX_NODES}")
-    if cfg["metric"]["path"] and cfg["metric"]["preset"] not in ("", "file"):
+    if cfg["metric"]["path"] and cfg["metric"]["preset"] != "file":
         raise ConfigError(
             "metric.path conflicts with metric.preset; use preset = file")
 
@@ -200,23 +199,22 @@ def build_metric(cfg: dict) -> geometry.RadialMetric:
     m = cfg["metric"]
     g = cfg["grid"]
     link = build_link(cfg)
-    preset = m["preset"] or ("file" if m["path"] else "flat_cone")
-    if preset == "flat_cone":
+    if m["preset"] == "flat_cone":
         grid = geometry.RadialGrid.graded(g["N"], g["L"], p=g["p"])
         return geometry.flat_cone(link, grid, cone_factor=m["cone_factor"])
-    if preset == "sphere_suspension":
+    if m["preset"] == "sphere_suspension":
         return geometry.sphere_suspension(link, g["N"], radius=m["radius"],
                                           p=g["p"])
-    if preset == "perturbed_cone":
+    if m["preset"] == "perturbed_cone":
         grid = geometry.RadialGrid.graded(g["N"], g["L"], p=g["p"])
         cutoff = m["cutoff"] if m["cutoff"] > 0 else None
         return geometry.perturbed_cone(link, grid, amplitude=m["amplitude"],
                                        exponent=m["exponent"], cutoff=cutoff)
-    if preset == "file":
+    if m["preset"] == "file":
         if not m["path"]:
             raise ConfigError("metric.preset = file requires metric.path")
         return geometry.metric_from_csv(link, m["path"])
-    raise ConfigError(f"unknown metric preset {preset!r}")
+    raise ConfigError(f"unknown metric preset {m['preset']!r}")
 
 
 # -- report plumbing ---------------------------------------------------------------
@@ -528,7 +526,6 @@ def main(argv: list[str] | None = None) -> int:
         flags = [f"{dest}={val}" for dest, val in vars(args).items()
                  if "." in dest and val is not None]
         cfg = parse_config(args.config, args.set + flags)
-        cfg["run"]["subcommand"] = args.subcommand
         report = {**_base_report(cfg, args.subcommand),
                   **_RUNNERS[args.subcommand](cfg)}
     except (geometry.ConelabError, OSError, ValueError, ArithmeticError,

@@ -276,9 +276,7 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     k = int(np.argmin(vals))
     if k in (0, _N_SCAN - 1):
         warnings.warn("optimal tau at the edge of the scan range", stacklevel=2)
-        lo, hi = (lts[0], lts[1]) if k == 0 else (lts[-2], lts[-1])
-    else:
-        lo, hi = lts[k - 1], lts[k + 1]
+    lo, hi = lts[max(k - 1, 0)], lts[min(k + 1, _N_SCAN - 1)]
 
     lt = spectral.bounded_minimize(mu_at, lo, hi, _LOG_TAU_TOL)
     best = cache[lt]

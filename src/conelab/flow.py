@@ -223,7 +223,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     # than b', which moves when the metric is rescaled; extrapolated
     # linearly in x from the first live nodes (the slaved band excluded)
     # by one least-squares row on the fixed nodes
-    fit_end = min(first_live + 8, last_live + 1)
+    fit_end = first_live + 8  # last_live >= first_live + 8, checked above
     fit_sl = slice(first_live, fit_end)
     intercept_row = np.linalg.pinv(np.vander(grid.x[fit_sl], 2))[1]
     half_dx = 0.5 * np.diff(grid.x[:fit_end])

@@ -39,29 +39,24 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def fornberg_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 on nodes xs.
+    """Finite-difference weights of the m-th derivative, m <= 2, at x0 on xs.
 
     Fornberg's recursion (Math. Comp. 51, 1988), run column by column on
-    Python floats: w[k] holds the order-k weights of every node, and each
-    weight takes the same IEEE operations in the same order as on numpy
-    scalars, at a fraction of the per-operation cost.
+    Python floats: w0, w1 and w2 hold the order-0, 1 and 2 weights of every
+    node, and each weight takes the same IEEE operations in the same order
+    as on numpy scalars, at a fraction of the per-operation cost.
     """
-    if m < 0:
-        raise ValueError("derivative order m must be nonnegative")
+    if m not in (0, 1, 2):
+        raise ValueError("derivative order m must be nonnegative, at most 2")
     xs = np.asarray(xs, dtype=float).tolist()
     x0 = float(x0)
     npts = len(xs)
-    # columns 0-2 are always built: column k reads only columns k and k - 1
     w0, w1, w2 = w = [[0.0] * npts, [0.0] * npts, [0.0] * npts]
-    for _ in range(m - 2):
-        w.append([0.0] * npts)
     w0[0] = 1.0
     c1 = 1.0
     c4 = xs[0] - x0
     try:
         for i in range(1, npts):
-            # columns k > 2, each from i = k; min(i, m) would cost a call
-            high = range(m if m < i else i, 2, -1)
             c2 = 1.0
             c5 = c4
             xi = xs[i]
@@ -69,8 +64,6 @@ def fornberg_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
             for j in range(i - 1):
                 c3 = xi - xs[j]
                 c2 *= c3
-                for k in high:
-                    w[k][j] = (c4 * w[k][j] - k * w[k - 1][j]) / c3
                 a, b = w0[j], w1[j]
                 w2[j] = (c4 * w2[j] - 2.0 * b) / c3
                 w1[j] = (c4 * b - a) / c3
@@ -79,10 +72,6 @@ def fornberg_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
             j = i - 1
             c3 = xi - xs[j]
             c2 *= c3
-            for k in high:
-                wk, b = w[k], w[k - 1][j]
-                wk[i] = c1 * (k * b - c5 * wk[j]) / c2
-                wk[j] = (c4 * wk[j] - k * b) / c3
             a, b = w0[j], w1[j]
             if i >= 2:
                 c = w2[j]
@@ -102,10 +91,9 @@ def fornberg_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes x_1 < ... < x_N in (0, L]; x is read-only."""
+    """Positive nodes x_1 < ... < x_N = L, strictly increasing; read-only."""
 
     x: np.ndarray
-    L: float
 
     def __post_init__(self):
         x = _read_only(np.array(self.x, dtype=float))
@@ -120,11 +108,15 @@ class RadialGrid:
     def graded(cls, N: int, L: float, p: float = 2.0) -> "RadialGrid":
         """x_i = L (i/N)^p: clustered at the tip for p > 1."""
         i = np.arange(1, N + 1, dtype=float)
-        return cls(x=L * (i / N) ** p, L=L)
+        return cls(x=L * (i / N) ** p)
 
     @property
     def N(self) -> int:
         return len(self.x)
+
+    @property
+    def L(self) -> float:
+        return float(self.x[-1])
 
     @cached_property
     def _stencils(self):
@@ -361,13 +353,13 @@ def smooth_cutoff(x: np.ndarray, x_on: float, x_off: float) -> np.ndarray:
 
 def metric_from_csv(link, path: str) -> RadialMetric:
     """Sampled metric from a CSV file with header columns x, a, b."""
-    data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
-    x = np.asarray(data["x"], dtype=float)
-    if x.size < MIN_NODES:
-        raise ValueError(f"metric file {path}: {x.size} rows, need at "
-                         f"least {MIN_NODES}")
-    grid = RadialGrid(x=x, L=float(x[-1]))
-    return RadialMetric(link=link, grid=grid,
-                        a=np.asarray(data["a"], dtype=float),
-                        b=np.asarray(data["b"], dtype=float))
-
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+        x = np.asarray(data["x"], dtype=float)
+        if x.size < MIN_NODES:
+            raise ValueError(f"{x.size} rows, need at least {MIN_NODES}")
+        return RadialMetric(link=link, grid=RadialGrid(x=x),
+                            a=np.asarray(data["a"], dtype=float),
+                            b=np.asarray(data["b"], dtype=float))
+    except ValueError as exc:
+        raise ValueError(f"metric file {path}: {exc}") from None

@@ -22,7 +22,7 @@ source, and along two for a signed one, whose second row, of |g|, only
 decides where the series stops.  Each call puts its source on the y-rule
 once, as the weighted source g, and `heat_convolve`'s tail reuses it.
 
-`heat_sup` returns max|heat_apply| bit for bit without every near band.
+`heat_sup` returns max|heat_apply| at each time, bit for bit, skipping bands.
 On z > 30, e^{-z} I_nu(z) sqrt(2 pi z) <= 1.01 for every nu >= 0 (it is 1
 for nu >= 1/2 and 1.00425 for nu = 0, at z = 30), and the Gaussian factor
 is at most 1, so a row's near sum is at most 1.01 x^{-n/2} / (2 sqrt(pi t))
@@ -40,7 +40,7 @@ import warnings
 import numpy as np
 
 from .geometry import RadialGrid, smooth_cutoff
-from .spectral import fit_power_model
+from .spectral import fit_power_model, nu_from_mode
 
 _SERIES_MAX_Z = 30.0
 _SERIES_TERMS = 90
@@ -102,11 +102,6 @@ def bessel_i(nu, z, scaled: bool = False):
         with np.errstate(over="ignore"):
             out = out * np.exp(z)
     return float(out) if out.ndim == 0 else out
-
-
-def nu_from_mode(n: int, mode: float) -> float:
-    """Indicial order nu(lam) = sqrt(lam + ((n-1)/2)^2) of a link mode."""
-    return math.sqrt(mode + ((n - 1) / 2.0) ** 2)
 
 
 def cone_kernel_mode(n: int, nu, t, x, x_tilde):
@@ -253,35 +248,34 @@ def _apply_on_rule(n: int, nu: float, t: float, x, xq, g) -> np.ndarray:
             + _near_field(n, nu, t, x, xq, g, lo, count))
 
 
-def heat_sup(link: "LinkData", t: float, u, grid: RadialGrid,
-             quad_pts: int) -> float:
-    """max |heat_apply(link, t, u, grid, quad_pts=quad_pts)|, bit for bit.
+def heat_sup(link: "LinkData", times, u, grid: RadialGrid,
+             quad_pts: int) -> np.ndarray:
+    """max |heat_apply(link, t, u, grid, quad_pts=quad_pts)| at each t of
+    times, bit for bit, from one evaluation of u on the y-rule.
 
-    The rows with an empty near band are exact after the far field; their
-    largest |value| is best.  Row i's near sum is at most _BIGZ_SUP
-    x_i^{-n/2} / (2 sqrt(pi t)) times the sum of y^{-n/2} |g| over its band
-    (module docstring), one difference of a prefix sum, and only the rows
-    whose |far| plus that bound reaches best evaluate their band: the others
-    cannot hold the maximum.
+    The bound on a row's near band (module docstring) is one difference of
+    the prefix sum pre; a row whose |far| plus that bound is below the
+    largest |value| of the rows with no near band skips its band.
     """
-    return _sup_on_rule(link.n, t, grid.x,
-                        *_weighted_source(link, u, grid, quad_pts))
-
-
-def _sup_on_rule(n: int, t: float, x, xq, g) -> float:
-    """`heat_sup` of the weighted source g on the y-rule's nodes xq."""
+    n, x = link.n, grid.x
     nu = nu_from_mode(n, 0.0)
-    split, lo, count = _split_pairs(t, x, xq)
-    far = _far_field(n, nu, t, x, xq, g, split)
-    best = np.max(np.abs(far[count == 0]), initial=-np.inf)
+    xq, g = _weighted_source(link, u, grid, quad_pts)
     pre = np.concatenate([[0.0], np.cumsum(xq ** (-n / 2.0) * np.abs(g))])
-    hi = lo + count
     # a cumulative sum of Q positive terms is within Q eps of its value
-    band = pre[hi] - pre[lo] + 2.0 * xq.size * np.finfo(float).eps * pre[hi]
-    bound = _BIGZ_SUP * x ** (-n / 2.0) / (2.0 * math.sqrt(math.pi * t)) * band
-    pruned = np.abs(far) + bound < best
-    near = _near_field(n, nu, t, x, xq, g, lo, np.where(pruned, 0, count))
-    return float(np.max(np.abs(far + near)))
+    slack = 2.0 * xq.size * np.finfo(float).eps
+    scale = _BIGZ_SUP * x ** (-n / 2.0)
+    sups = []
+    for t in times:
+        split, lo, count = _split_pairs(t, x, xq)
+        far = _far_field(n, nu, t, x, xq, g, split)
+        best = np.max(np.abs(far[count == 0]), initial=-np.inf)
+        hi = lo + count
+        band = pre[hi] - pre[lo] + slack * pre[hi]
+        bound = scale / (2.0 * math.sqrt(math.pi * t)) * band
+        pruned = np.abs(far) + bound < best
+        near = _near_field(n, nu, t, x, xq, g, lo, np.where(pruned, 0, count))
+        sups.append(np.max(np.abs(far + near)))
+    return np.array(sups)
 
 
 def _gauss_jacobi(npts: int, beta: float):
@@ -450,13 +444,11 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     exponent fitted on x in [0.012, 0.1] against the predicted table
     (bounded for N < 2, log for N = 2, -N+2 for N > 2, within 0.1) and the
     fitted temporal slope of sup|H(t)f| against -N/2 (within 0.15).
-    The sups come from `heat_sup`'s rule on one evaluation of f, bit-identical
-    to max|H(t)f|.
+    The sups come from `heat_sup`, bit-identical to max|H(t)f|.
     """
-    n = link.n
-    if not (0 < N_exp <= n):
+    if not (0 < N_exp <= link.n):
         raise ValueError(f"mapping.exponent N = {N_exp:g} must satisfy "
-                         f"0 < N <= n = {n}, the link dimension")
+                         f"0 < N <= n = {link.n}, the link dimension")
     grid = RadialGrid.graded(800, 1.0, p=2.0)
     # short times only: once the diffusion length sqrt(t) reaches the
     # cutoff scale the sup crosses over to the dimensional t^{-m/2} decay
@@ -470,8 +462,7 @@ def mapping_exponent_report(link: "LinkData", N_exp: float) -> dict:
     sel = (x >= 0.012) & (x <= 0.1)
     cls = classify_tip_behavior(x[sel], conv[sel])
 
-    xq, g = _weighted_source(link, f, grid, 2)
-    sups = np.array([_sup_on_rule(n, t, x, xq, g) for t in t_grid])
+    sups = heat_sup(link, t_grid, f, grid, 2)
     tslope = float(np.polyfit(np.log(t_grid), np.log(sups), 1)[0])
 
     predicted = -N_exp + 2.0

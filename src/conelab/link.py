@@ -174,37 +174,43 @@ def parse_link_file(path: str) -> LinkData:
         eig = <eigenvalue> <multiplicity>      (repeatable)
         tt = <float> [<float> ...]             (optional, repeatable)
     """
-    fields: dict[str, str] = {}
+    fields: dict[str, float] = {}
     eigs: list[tuple[float, int]] = []
     tts: list[float] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed link-file line: {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key == "eig":
-                ev, mu = val.split()
-                eigs.append((float(ev), int(mu)))
-            elif key == "tt":
-                tts.extend(float(v) for v in val.split())
-            elif key in ("n", "scal_F", "vol_F", "truncation"):
-                fields[key] = val
-            else:
-                raise ValueError(f"unknown link-file key: {key!r}")
-    for req in ("n", "scal_F", "vol_F"):
-        if req not in fields:
-            raise ValueError(f"link file missing required key {req!r}")
-    eigs.sort()
-    trunc = float(fields.get("truncation", eigs[-1][0] if eigs else 0.0))
-    return LinkData(
-        n=int(fields["n"]),
-        scal_F=float(fields["scal_F"]),
-        vol_F=float(fields["vol_F"]),
-        laplace_spectrum=tuple(eigs),
-        truncation_note=trunc,
-        einstein_tt_spectrum=tuple(tts) if tts else None,
-        name=path,
-    )
+    where = ""  # the line being read, for an error message
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                where = f", line {lineno} {line!r}"
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError("not a key = value line")
+                key, val = (s.strip() for s in line.split("=", 1))
+                if key == "eig":
+                    ev, mu = val.split()
+                    eigs.append((float(ev), int(mu)))
+                elif key == "tt":
+                    tts.extend(float(v) for v in val.split())
+                elif key in ("n", "scal_F", "vol_F", "truncation"):
+                    fields[key] = int(val) if key == "n" else float(val)
+                else:
+                    raise ValueError(f"unknown link-file key: {key!r}")
+        where = ""
+        for req in ("n", "scal_F", "vol_F"):
+            if req not in fields:
+                raise ValueError(f"missing required key {req!r}")
+        eigs.sort()
+        trunc = fields.get("truncation", eigs[-1][0] if eigs else 0.0)
+        return LinkData(
+            n=fields["n"],
+            scal_F=fields["scal_F"],
+            vol_F=fields["vol_F"],
+            laplace_spectrum=tuple(eigs),
+            truncation_note=trunc,
+            einstein_tt_spectrum=tuple(tts) if tts else None,
+            name=path,
+        )
+    except ValueError as exc:
+        raise ValueError(f"link file {path}{where}: {exc}") from None

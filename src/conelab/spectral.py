@@ -55,12 +55,17 @@ class IndicialData:
     essentially_selfadjoint: bool
 
 
+def nu_from_mode(n: int, mode):
+    """Indicial order nu(lam) = sqrt(lam + ((n-1)/2)^2) of link modes lam."""
+    return np.sqrt(mode + ((n - 1) / 2.0) ** 2)
+
+
 def indicial_exponents(link, gamma: float) -> IndicialData:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     n = link.n
     lam = np.array(link.eigenvalues(include_zero=True), dtype=float)
-    nu = np.sqrt(lam + ((n - 1) / 2.0) ** 2)
+    nu = nu_from_mode(n, lam)
     mu_plus = -(n - 1) / 2.0 + nu
     # mu_plus at lambda_1, the smallest nonzero link eigenvalue
     gamma_bar = min(gamma, mu_plus[lam > 0][0]) if np.any(lam > 0) else None
@@ -165,7 +170,6 @@ def solve_ground_state(prob: AssembledProblem) -> tuple[float, np.ndarray]:
     lower = min(r0, gersh)
     shift = lower - 0.1 * (abs(lower) + 1.0)
     u = ones / np.sqrt(ones @ (w * ones))
-    sigma = r0
     best_res = np.inf
     stale = 0
     for it in range(200):

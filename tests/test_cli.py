@@ -249,11 +249,15 @@ class TestExitCodes:
                        "boundary bands"]
         assert not (tmp_path / "f" / "report.json").exists()
 
-    @pytest.mark.parametrize("rows", [["x,a,b", "0.5,1.0,0.5"], ["x,a,b"]])
+    @pytest.mark.parametrize("rows", [
+        ["x,a,b", "0.5,1.0,0.5"], ["x,a,b"],
+        ["x,a", *(f"{i / 20!r},1.0" for i in range(1, 21))],
+        ["x,a,b", *(f"{i / 20!r},1.0,{i / 20!r}" for i in range(20, 0, -1))]])
     def test_degenerate_metric_file_is_one_line(self, tmp_path, capsys,
                                                 rows):
-        # one data row is a one-node grid; a header alone is an empty
-        # one; both are rejected on loading, naming the file
+        # one data row is a one-node grid; a header alone is an empty one;
+        # then a file without column b, and one with decreasing x; each is
+        # rejected on loading, naming the file
         path = tmp_path / "metric.csv"
         path.write_text("\n".join(rows) + "\n")
         args = ["lambda", "--preset", "file", "--set", f"metric.path={path}",
@@ -262,6 +266,23 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
         assert str(path) in err[0]
+        assert not (tmp_path / "d" / "report.json").exists()
+
+    @pytest.mark.parametrize("lines, bad", [
+        (["n = 3", "scal_F = 6.0", "vol_F = 19.7", "eig = 0 1", "eig = 9"], 5),
+        (["n = 3", "scal_F = 6.0", "vol_F = 19.7", "eig = 3 4.5"], 4),
+        (["# a link", "n = three", "scal_F = 6.0", "vol_F = 19.7"], 2)])
+    def test_malformed_link_file_is_one_line(self, tmp_path, capsys, lines,
+                                             bad):
+        # the message names the file, the line number and the line
+        path = tmp_path / "link.txt"
+        path.write_text("\n".join(lines) + "\n")
+        args = ["link-check", "--link", str(path), "--output-dir", "d"]
+        assert main(args) == EXIT_OPERATIONAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("conelab: error: ")
+        assert str(path) in err[0]
+        assert f"line {bad} {lines[bad - 1]!r}" in err[0]
         assert not (tmp_path / "d" / "report.json").exists()
 
     def test_flag_sets_only_its_own_key(self, tmp_path):

@@ -464,9 +464,10 @@ class TestHeatSup:
             if N > lk.n:
                 continue
             f = lambda y: y ** (-N) * geometry.smooth_cutoff(y, 0.25, 0.5)
-            for t in self.T_MAPPING:
-                full = heat_apply(lk, t, f, grid, quad_pts=2)
-                assert heat_sup(lk, t, f, grid, 2) == np.max(np.abs(full)), (N, t)
+            full = [np.max(np.abs(heat_apply(lk, t, f, grid, quad_pts=2)))
+                    for t in self.T_MAPPING]
+            assert np.array_equal(heat_sup(lk, self.T_MAPPING, f, grid, 2),
+                                  full), N
 
     @pytest.mark.parametrize("tip", [0.0, 1.0])
     def test_equals_max_of_heat_apply_for_sign_changing_source(self, s3, tip):
@@ -477,27 +478,29 @@ class TestHeatSup:
         f = lambda y: ((np.sin(9.0 * y) * np.exp(-((y - 0.8) / 0.2) ** 2)
                         + tip * np.cos(9.0 * y) / np.sqrt(y))
                        * geometry.smooth_cutoff(y, 1.2, 1.6))
+        times = (1e-4, 3e-3, 0.05)
         for u in (f, f(grid.x)):
-            for t in (1e-4, 3e-3, 0.05):
-                full = heat_apply(s3, t, u, grid, quad_pts=2)
-                assert heat_sup(s3, t, u, grid, 2) == np.max(np.abs(full)), t
+            full = [np.max(np.abs(heat_apply(s3, t, u, grid, quad_pts=2)))
+                    for t in times]
+            assert np.array_equal(heat_sup(s3, times, u, grid, 2), full)
 
     def test_outer_mass_warning(self, s3):
         grid = RadialGrid.graded(200, 1.0, p=1.0)
         with pytest.warns(UserWarning, match="truncation"):
-            heat_sup(s3, 0.01, np.ones(200), grid, 2)
+            heat_sup(s3, [0.01], np.ones(200), grid, 2)
 
     def test_every_row_with_a_near_band_is_evaluated(self, s3):
         # nodes from x = 0.5 at t = 5e-4: every row has near pairs, so no row
         # is exact before its band is summed
-        grid = RadialGrid(x=np.linspace(0.5, 1.5, 300), L=1.5)
+        grid = RadialGrid(x=np.linspace(0.5, 1.5, 300))
         f = lambda y: np.sin(7.0 * y) * geometry.smooth_cutoff(y, 1.1, 1.4)
         t = 5e-4
         xq, _ = heat._weighted_source(s3, f, grid, 2)
         _, _, count = heat._split_pairs(t, grid.x, xq)
         assert np.all(count > 0)
         full = heat_apply(s3, t, f, grid, quad_pts=2)
-        assert heat_sup(s3, t, f, grid, 2) == np.max(np.abs(full))
+        assert np.array_equal(heat_sup(s3, [t], f, grid, 2),
+                              [np.max(np.abs(full))])
 
     def test_no_near_field_for_the_mapping_sup_on_s3(self, s3, monkeypatch):
         """For x^{-3} on S^3 the sup sits at the first node, a row with no
@@ -509,8 +512,7 @@ class TestHeatSup:
             points.append(np.size(x)), kernel(n, nu, t, x, y))[1])
         grid = RadialGrid.graded(800, 1.0, p=2.0)
         f = lambda y: y ** -3.0 * geometry.smooth_cutoff(y, 0.25, 0.5)
-        for t in self.T_MAPPING:
-            heat_sup(s3, t, f, grid, 2)
+        heat_sup(s3, self.T_MAPPING, f, grid, 2)
         assert points == []
 
 
