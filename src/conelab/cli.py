@@ -241,9 +241,6 @@ def _base_report(cfg: dict, subcommand: str) -> dict:
 
 def output_dir(cfg: dict) -> str:
     out = cfg["run"]["output_dir"]
-    root = os.environ.get("CONELAB_OUTPUT_ROOT")
-    if root and not os.path.isabs(out):
-        out = os.path.join(root, out)
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -429,6 +426,9 @@ def cmd_mapping(cfg: dict) -> dict:
 
 
 def cmd_convergence(cfg: dict) -> dict:
+    if cfg["metric"]["preset"] == "file":
+        raise ConfigError("convergence refines grid.N, which a metric file "
+                          "fixes; metric.preset = file is not refinable")
     c = cfg["convergence"]
     Ns = [c["base_N"] * 2**k for k in range(c["refinements"] + 1)]
     values = []

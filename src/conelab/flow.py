@@ -29,7 +29,7 @@ doubling with local Richardson extrapolation, second order in dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,17 +109,10 @@ def deturck_vector_field(metric: RadialMetric,
     return w
 
 
-def flow_rhs(metric: RadialMetric,
-             config: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Component rates (da/dt, db/dt) of the normalized de Turck flow.
-
-    A config.reference of None makes metric its own reference, so W is zero
-    up to roundoff; `run_flow` always fills the reference in, with the
-    initial metric where its config leaves it None.
-    """
-    ref = config.reference if config.reference is not None else metric
-    kappa = _KAPPA[config.normalization]
-    w = deturck_vector_field(metric, ref)
+def flow_rhs(metric: RadialMetric, reference: RadialMetric,
+             kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Component rates (da/dt, db/dt) of the de Turck flow normalized by kappa."""
+    w = deturck_vector_field(metric, reference)
     ric_rad, ric_link = warped_ricci(metric)
     da = metric.a * (kappa - ric_rad) + metric.grid.d1(metric.a * w)
     db = metric.b * (kappa - ric_link) + metric.jet[1] * w
@@ -173,7 +166,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     the tolerance.  The cone-drift guard checks every accepted state.
     """
     ref = config.reference if config.reference is not None else initial
-    cfg = replace(config, reference=ref)
+    kappa = _KAPPA[config.normalization]
     grid = initial.grid
     N = grid.N
     if linkmod.check_tangential_stability(initial.link) == linkmod.UNSTABLE:
@@ -192,27 +185,21 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
                 raise FlowError(
                     "initial metric is not an admissible perturbation of "
                     "the reference (tip deviation does not decay)")
-    nb = 4  # frozen nodes at least, per end
-    if N < 2 * nb + 8:
-        raise FlowError("grid too small for the frozen boundary bands")
     frozen = np.zeros(N, dtype=bool)
-    frozen[:nb] = True
-    frozen[-nb:] = True
+    frozen[:4] = frozen[-4:] = True  # at least four frozen nodes per end
     # the de Turck linearization carries a +2n/b^2 reaction near b -> 0
     # (tips and smooth caps); freeze every node where that rate beats the
     # grid-scale diffusion damping, otherwise those nodes blow up
     dx_loc = np.gradient(grid.x)
     margin = 3.0 * math.sqrt(2.0 * initial.link.n) * dx_loc
     frozen |= initial.b < margin
-    if frozen.all():  # no live node
+    live_rows = np.flatnonzero(~frozen)
+    if live_rows.size < 9:
         raise FlowError("grid too small for the frozen boundary bands")
-    first_live = int(np.argmin(frozen))
-    last_live = N - 1 - int(np.argmin(frozen[::-1]))
-    if frozen[first_live:last_live + 1].any():
+    first_live, last_live = int(live_rows[0]), int(live_rows[-1])
+    if last_live - first_live + 1 != live_rows.size:
         raise FlowError("frozen region is not two boundary bands; "
                         "b vanishes in the interior")
-    if last_live - first_live < 8:
-        raise FlowError("grid too small for the frozen boundary bands")
     live = slice(first_live, last_live + 1)  # the complement of frozen
     below = slice(first_live - 1, last_live)  # the live rows' neighbours
     above = slice(first_live + 1, last_live + 2)
@@ -269,7 +256,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         """k IMEX steps of size dt from met; None on a positivity loss."""
         nonlocal steps
         for _ in range(k):
-            da, db = flow_rhs(met, cfg)
+            da, db = flow_rhs(met, ref, kappa)
             coeff = 1.0 / met.a**2
             ab_mat = _implicit_bands(grid, coeff, dt, frozen)
             diag, off = ab_mat[1, rows], ab_mat[couplings]
@@ -291,21 +278,23 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         return met
 
     def diagnostics(t, met, time_error):
-        kappa = _KAPPA[cfg.normalization]
+        cf = fitted_cone_factor(met.a, met.b)
+        if abs(cf - cf0) > config.cone_drift_bound * max(abs(cf0), 1e-300):
+            raise FlowError(f"cone-condition drift beyond bound at t = {t:.6g}")
         ric = np.stack([r[live] for r in warped_ricci(met)])
         ev = None
-        if cfg.entropy_kind == "lambda":
+        if config.entropy_kind == "lambda":
             ev = entropy.compute_lambda(met).value
-        elif cfg.entropy_kind in ("mu_minus", "mu_plus"):
-            variant = "minus" if cfg.entropy_kind == "mu_minus" else "plus"
+        elif config.entropy_kind in ("mu_minus", "mu_plus"):
+            variant = "minus" if config.entropy_kind == "mu_minus" else "plus"
             # tau = 1/(2 |kappa|) = 1/2, the scale at which a fixed point
             # Ric = kappa g of the normalized flow is a soliton
             ev = entropy.compute_mu(met, 0.5, variant=variant).value
         # a bare copy: the trajectory must not keep each sample's memo alive
-        return FlowState(t=t, metric=replace(met),
+        return FlowState(t=t, metric=met._with_fields(met.a, met.b),
                          sup_ric=float(np.max(np.abs(ric))),
                          sup_ric_normalized=float(np.max(np.abs(ric - kappa))),
-                         cone_factor=fitted_cone_factor(met.a, met.b),
+                         cone_factor=cf,
                          entropy_value=ev, steps=steps, time_error=time_error)
 
     def sup_diff(p, q):
@@ -316,8 +305,8 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     trajectory = [diagnostics(0.0, metric, 0.0)]
     k = 1
     t = 0.0
-    for j in range(1, cfg.samples + 1):
-        t_start, t = t, cfg.t_end * (j / cfg.samples)
+    for j in range(1, config.samples + 1):
+        t_start, t = t, config.t_end * (j / config.samples)
         h = t - t_start
         floor = 64 * np.finfo(float).eps * max(metric.a.max(), metric.b.max())
         coarse = advance(metric, k, h / k)
@@ -335,16 +324,13 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
                 raise FlowError(
                     f"step-size collapse: {2 * _MAX_STEPS} steps do not "
                     f"resolve the sample interval from t = {t_start:.6g} at "
-                    f"flow.t_end = {cfg.t_end:g}, flow.samples = {cfg.samples}")
+                    f"flow.t_end = {config.t_end:g}, flow.samples = {config.samples}")
             # the 2k-run is the next trial's coarse run; a failed one stays
             # failed, and a failed coarse run is retried at the new k
             coarse = fine if coarse is not None else advance(metric, k, h / k)
         if err <= 0.25 * TIME_TOL * change and k > 1:
             k //= 2
         metric = metric._with_fields(a, b)
-        cf = fitted_cone_factor(a, b)
-        if abs(cf - cf0) > cfg.cone_drift_bound * max(abs(cf0), 1e-300):
-            raise FlowError(f"cone-condition drift beyond bound at t = {t:.6g}")
         trajectory.append(diagnostics(t, metric, err))
     return trajectory
 

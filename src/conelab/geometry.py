@@ -89,7 +89,7 @@ def fornberg_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
     return np.array(w[m])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Positive nodes x_1 < ... < x_N = L, strictly increasing; read-only."""
 
@@ -151,18 +151,8 @@ class RadialGrid:
     def d2(self, u: np.ndarray) -> np.ndarray:
         return self._apply(u, self._stencils[2])
 
-    @cached_property
-    def cell_sizes(self) -> np.ndarray:
-        """Trapezoidal nodal cell lengths on [x_1, L] (tip cell handled separately)."""
-        x = self.x
-        c = np.zeros(self.N)
-        dx = np.diff(x)
-        c[:-1] += 0.5 * dx
-        c[1:] += 0.5 * dx
-        return c
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialMetric:
     """g = a(x)^2 dx^2 + b(x)^2 g_F on a radial grid over an Einstein link.
 
@@ -174,8 +164,7 @@ class RadialMetric:
     grid: RadialGrid
     a: np.ndarray
     b: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         a = _read_only(np.array(self.a, dtype=float))
@@ -223,11 +212,9 @@ class RadialMetric:
     @cached_property
     def jet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid derivatives (a', b', b'') of the coefficients."""
-        # grid.d1 and grid.d2 bit for bit, from one stencil gather per field
-        cols, w1, w2 = self.grid._stencils
-        ga, gb = self.a[cols], self.b[cols]
-        return tuple(_read_only(np.einsum("ij,ij->i", w, u))
-                     for w, u in ((w1, ga), (w1, gb), (w2, gb)))
+        g = self.grid
+        return tuple(_read_only(d(u)) for d, u in
+                     ((g.d1, self.a), (g.d1, self.b), (g.d2, self.b)))
 
 
 # -- curvature ----------------------------------------------------------------
@@ -282,7 +269,11 @@ def volume_form(metric: RadialMetric) -> np.ndarray:
     n = metric.link.n
     g = metric.grid
     dens = metric.a * metric.b**n * metric.link.vol_F
-    w = dens * g.cell_sizes
+    cells = np.zeros(g.N)
+    dx = np.diff(g.x)
+    cells[:-1] += 0.5 * dx
+    cells[1:] += 0.5 * dx
+    w = dens * cells
     # tip cell [0, x_1]: integral of c x^n with c matched at x_1
     w[0] += dens[0] * g.x[0] / (n + 1)
     return w

@@ -26,7 +26,7 @@ from conelab.cli import (
 
 @pytest.fixture(autouse=True)
 def _outroot(tmp_path, monkeypatch):
-    monkeypatch.setenv("CONELAB_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
@@ -248,6 +248,34 @@ class TestExitCodes:
         assert err == ["conelab: error: grid too small for the frozen "
                        "boundary bands"]
         assert not (tmp_path / "f" / "report.json").exists()
+
+    def test_convergence_refuses_a_metric_file(self, tmp_path, capsys):
+        # a file fixes the grid, so every "refinement" would solve the same
+        # problem and report four equal values as an exact discretization
+        x = [(i / 300) ** 2 for i in range(1, 301)]
+        (tmp_path / "m.csv").write_text(
+            "x,a,b\n" + "".join(f"{v!r},1.0,{v!r}\n" for v in x))
+        args = ["convergence", "--preset", "file",
+                "--set", f"metric.path={tmp_path / 'm.csv'}",
+                "--output-dir", "c"]
+        assert main(args) == EXIT_OPERATIONAL
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("conelab: error: ") and "metric.preset" in line
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("sub", list(cli._RUNNERS))
+    def test_every_subcommand_at_its_defaults_ends_cleanly(self, tmp_path,
+                                                          capsys, sub):
+        # a pass, a property failure with its report, or one error line
+        code = main([sub, "--output-dir", "d"])
+        err = capsys.readouterr().err.splitlines()
+        report = tmp_path / "d" / "report.json"
+        assert code in (EXIT_OK, EXIT_PROPERTY, EXIT_OPERATIONAL)
+        if code == EXIT_PROPERTY:
+            assert report.exists()
+        if code == EXIT_OPERATIONAL:
+            assert len(err) == 1 and err[0].startswith("conelab: error: ")
+            assert not report.exists()
 
     @pytest.mark.parametrize("rows", [
         ["x,a,b", "0.5,1.0,0.5"], ["x,a,b"],
@@ -596,11 +624,11 @@ def test_sphere_suspension_at_a_radius_whose_pole_rounds_negative(tmp_path):
 def _run_fresh(script, tmp_path):
     """Run a Python script in a fresh process on this conelab; it must pass."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "CONELAB_OUTPUT_ROOT": str(tmp_path),
-           "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

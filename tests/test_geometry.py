@@ -426,3 +426,13 @@ def test_jet_equals_the_stencil_applications(s3, capped):
     assert all(np.array_equal(j, e) for j, e in zip(met.jet, expected))
     assert met.has_cap is capped
     assert replace(met).has_cap is capped
+
+
+def test_grids_and_metrics_compare_by_identity(s3):
+    g, h = RadialGrid.graded(20, 1.0), RadialGrid.graded(20, 1.0)
+    assert (g == h) is False and g != h
+    assert g == g
+    met = flat_cone(s3, g)
+    assert flat_cone(s3, g) != met
+    assert len({g, h, met, met}) == 3
+    assert hash(met) == hash(met)
