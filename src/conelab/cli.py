@@ -61,7 +61,6 @@ CONFIG_SCHEMA = {
         "exponent": (float, 2.0, "[0.1, inf)"),
         "cutoff": (float, 0.0, "(-inf, inf)"),
         "path": (str, ""),
-        "gamma": (float, 1.0, "(0, inf)"),
     },
     "tolerances": {
         "el_residual": (float, 1e-8, "(0, inf)"),
@@ -209,7 +208,8 @@ def build_metric(cfg: dict) -> geometry.RadialMetric:
         grid = geometry.RadialGrid.graded(g["N"], g["L"], p=g["p"])
         cutoff = m["cutoff"] if m["cutoff"] > 0 else None
         return geometry.perturbed_cone(link, grid, amplitude=m["amplitude"],
-                                       exponent=m["exponent"], cutoff=cutoff)
+                                       exponent=m["exponent"], cutoff=cutoff,
+                                       cone_factor=m["cone_factor"])
     if m["preset"] == "file":
         if not m["path"]:
             raise ConfigError("metric.preset = file requires metric.path")
@@ -277,7 +277,7 @@ def cmd_link_check(cfg: dict) -> dict:
     link = build_link(cfg)
     verdict = linkmod.check_tangential_stability(link)
     gap = linkmod.check_admissibility_gap(link)
-    ind = spectral.indicial_exponents(link, gamma=cfg["metric"]["gamma"])
+    ind = spectral.indicial_exponents(link, gamma=cfg["metric"]["exponent"])
     return {
         "link": link.name,
         "n": link.n,

@@ -29,7 +29,6 @@ lambda(g) is exactly the discrete ground-state Rayleigh quotient.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,17 +124,18 @@ def _newton_el(prob, m, tau, e, u0, mu0):
     solve of two right-hand sides.  Steps are shortened to keep omega
     strictly positive.  The residual of the discrete system bottoms out at a
     roundoff floor set by the curvature quadrature, so a stalled iterate
-    below _NEWTON_ACCEPT still counts as converged.
+    below _NEWTON_ACCEPT still counts as converged.  Returns (omega, mu, g2,
+    rel) of the last iterate, g2 and rel as _el_residual's, or None.
     """
     w = prob.mass
     sm = _s_m(m, tau)
     u = u0.copy()
     mu = mu0
-    for it in range(80):
-        g1, g2, rel = _el_residual(prob, m, tau, e, u, mu)
+    g1, g2, rel = _el_residual(prob, m, tau, e, u, mu)
+    for _ in range(80):
         res = math.hypot(rel, g2)
         if res < _NEWTON_TOL:
-            return u, mu, True
+            break
         # tridiagonal block d g1 / d omega
         ab = -tau * prob.banded()
         ab[1] += w * (2.0 * e * np.log(u) + 2.0 * e + e * m + mu)
@@ -144,10 +144,10 @@ def _newton_el(prob, m, tau, e, u0, mu0):
         try:
             y1, y2 = solve_banded(ab, -np.array([g1, bvec]).T).T
         except np.linalg.LinAlgError:
-            return u, mu, res < _NEWTON_ACCEPT
+            break
         denom = float(cvec @ y2)
         if denom == 0.0 or not np.isfinite(denom):
-            return u, mu, res < _NEWTON_ACCEPT
+            break
         dmu = (-g2 - float(cvec @ y1)) / denom
         du = y1 + dmu * y2
         step = 1.0
@@ -158,15 +158,15 @@ def _newton_el(prob, m, tau, e, u0, mu0):
         for _ in range(40):
             u_try = u + step * du
             mu_try = mu + step * dmu
-            _, g2_try, rel_try = _el_residual(prob, m, tau, e, u_try, mu_try)
+            g1_try, g2_try, rel_try = _el_residual(prob, m, tau, e, u_try, mu_try)
             rt = math.hypot(rel_try, g2_try)
             if np.isfinite(rt) and rt < res * (1.0 - 1e-4 * step):
                 break
             step *= 0.5
         else:
-            return u, mu, res < _NEWTON_ACCEPT
-        u, mu = u_try, mu_try
-    return u, mu, res < _NEWTON_ACCEPT
+            break
+        u, mu, g1, g2, rel = u_try, mu_try, g1_try, g2_try, rel_try
+    return (u, mu, g2, rel) if res < _NEWTON_ACCEPT else None
 
 
 def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
@@ -201,17 +201,16 @@ def compute_mu(metric: RadialMetric, tau: float, variant: str = "minus",
     sols = []
     for u0 in inits:
         mu0 = evaluate_w(metric, u0, tau, variant)
-        u, mu, ok = _newton_el(lp.prob, m, tau, e, u0, mu0)
-        if ok:
-            sols.append((mu, u))
+        sol = _newton_el(lp.prob, m, tau, e, u0, mu0)
+        if sol is not None:
+            sols.append(sol)
     if not sols:
         raise NewtonError(f"mu_{variant} Newton iteration failed at tau={tau}")
-    basin = tuple(sorted(mu for mu, _ in sols))
+    basin = tuple(sorted(mu for _, mu, _, _ in sols))
     nonconvex = (len(basin) > 1 and basin[-1] - basin[0] >
                  1e-8 * max(1.0, abs(basin[0])))
-    mu, u = min(sols, key=lambda s: s[0])
+    u, mu, g2, el_res = min(sols, key=lambda s: s[1])
 
-    _, g2, el_res = _el_residual(lp.prob, m, tau, e, u, mu)
     # f = -2 log omega; s_m int f e^{-f} dV equals m/2 + e * mu exactly when
     # tau is also stationary (the identity encodes dW/dtau = 0), so the gap
     # doubles as a distance-from-optimal-tau diagnostic
@@ -250,7 +249,7 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     boundary and the quantity is not defined.  Coarse scan on a log-tau
     grid, then refinement on the scan's bracket by `spectral.bounded_minimize`
     (Brent's bounded method, the one the tip fits use), warm-starting each
-    solve from the neighboring optimizer.  tau_edge names the bound of
+    solve from the previous solve's optimizer.  tau_edge names the bound of
     tau_range that tau* lies on, within the minimizer's final bracket.
     """
     sign = _sign(variant)  # minimize sign * mu
@@ -260,22 +259,18 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     if variant == "plus" and lam >= 0:
         raise ValueError("nu_plus requires lambda(g) < 0")
 
-    cache: dict[float, MuReport] = {}
-    warm = {"omega": None}
+    cache: dict[float, MuReport] = {}  # in solve order
 
     def mu_at(log_tau: float) -> float:
         if log_tau not in cache:
-            rep = compute_mu(metric, math.exp(log_tau), variant=variant,
-                             omega0=warm["omega"])
-            cache[log_tau] = rep
-            warm["omega"] = rep.omega
+            warm = next(reversed(cache.values()), None)
+            cache[log_tau] = compute_mu(
+                metric, math.exp(log_tau), variant=variant,
+                omega0=None if warm is None else warm.omega)
         return sign * cache[log_tau].value
 
     lts = np.linspace(math.log(tau_range[0]), math.log(tau_range[1]), _N_SCAN)
-    vals = np.array([mu_at(lt) for lt in lts])
-    k = int(np.argmin(vals))
-    if k in (0, _N_SCAN - 1):
-        warnings.warn("optimal tau at the edge of the scan range", stacklevel=2)
+    k = int(np.argmin([mu_at(lt) for lt in lts]))
     lo, hi = lts[max(k - 1, 0)], lts[min(k + 1, _N_SCAN - 1)]
 
     lt = spectral.bounded_minimize(mu_at, lo, hi, _LOG_TAU_TOL)
@@ -285,12 +280,12 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
     width = 4.0 * (math.sqrt(2.2e-16) * abs(lt) + _LOG_TAU_TOL / 3.0)
     edge = next((name for name, bound in zip(("tau_min", "tau_max"), tau_range)
                  if abs(lt - math.log(bound)) <= width), None)
-    order = np.argsort(list(cache.keys()))
-    taus = np.exp(np.array(list(cache.keys()))[order])
-    mus = np.array([cache[k].value for k in cache])[order]
+    scanned = sorted(cache)
     return NuReport(value=best.value, tau_star=best.tau, variant=variant,
                     lambda_value=lam, mu_report=best,
-                    tau_profile=taus, mu_profile=mus, tau_edge=edge)
+                    tau_profile=np.exp(scanned),
+                    mu_profile=np.array([cache[s].value for s in scanned]),
+                    tau_edge=edge)
 
 
 # -- first variation of lambda ---------------------------------------------------

@@ -320,8 +320,9 @@ def sphere_suspension(link, N: int, radius: float = 1.0, p: float = 1.0) -> Radi
 
 
 def perturbed_cone(link, grid: RadialGrid, amplitude: float,
-                   exponent: float, cutoff: float | None = None) -> RadialMetric:
-    """b = x (1 + amp * x^gamma * chi(x)), a = 1: perturbation order gamma.
+                   exponent: float, cutoff: float | None = None,
+                   cone_factor: float = 1.0) -> RadialMetric:
+    """b = c x (1 + amp * x^gamma * chi(x)), a = 1: perturbation order gamma.
 
     The optional smooth cutoff chi confines the perturbation to x < cutoff.
     """
@@ -331,7 +332,7 @@ def perturbed_cone(link, grid: RadialGrid, amplitude: float,
         pert = pert * smooth_cutoff(x, 0.5 * cutoff, cutoff)
     return RadialMetric(
         link=link, grid=grid,
-        a=np.ones(grid.N), b=x * (1.0 + pert),
+        a=np.ones(grid.N), b=cone_factor * x * (1.0 + pert),
     )
 
 

@@ -180,8 +180,9 @@ def solve_ground_state(prob: AssembledProblem) -> tuple[float, np.ndarray]:
             shift -= 1e-8 * (abs(shift) + 1.0)
             continue
         v /= np.sqrt(v @ (w * v))
-        sigma_new = rayleigh_quotient(prob, v)
-        res = np.linalg.norm(prob.matvec(v) - sigma_new * w * v)
+        kv = prob.matvec(v)
+        sigma_new = float(v @ kv) / float(v @ (w * v))
+        res = np.linalg.norm(kv - sigma_new * w * v)
         scale = np.linalg.norm(w * v)
         # the absolute residual bottoms out at roundoff of the stiffness
         # cancellation; accept a stagnated iterate once it is below the

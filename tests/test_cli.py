@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from conelab import cli, entropy, flow, geometry, heat, spectral
@@ -183,8 +184,12 @@ class TestExitCodes:
         assert main([*args, "--output-dir", "x"]) == EXIT_OPERATIONAL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
-        if "foo" in " ".join(args):
+        joined = " ".join(args)
+        if "foo" in joined:
             assert "unknown variant 'foo'" in err[0]
+        elif joined.endswith("--N 200"):
+            # the solver's own message, not min()'s over no converged start
+            assert "mu_minus Newton iteration failed at tau=" in err[0]
         assert not (tmp_path / "x" / "report.json").exists()
 
     @pytest.mark.parametrize("args", [
@@ -368,7 +373,6 @@ _SWEEP_RUNS = {
     "metric": ("lambda", ["metric.preset=perturbed_cone", "grid.N=200"]),
     "metric.k_max": ("link-check", []),
     "metric.cone_factor": ("lambda", ["grid.N=200"]),
-    "metric.gamma": ("link-check", []),
     "metric.radius": ("lambda", _S4),
     "tolerances": ("lambda", _S4),
     "tolerances.monotonicity": ("flow", _S4_FLOW),
@@ -407,6 +411,14 @@ def test_extreme_value_ends_cleanly(tmp_path, capsys, key, value):
     assert code in (EXIT_OK, EXIT_OPERATIONAL, EXIT_PROPERTY)
     if code == EXIT_OPERATIONAL:
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("sec, lo, hi", [
+    ("heat", "t_min", "t_max"), ("nu", "tau_min", "tau_max")])
+def test_inverted_range_rejected_by_parse_config(sec, lo, hi):
+    with pytest.raises(ConfigError,
+                       match=f"^{sec}.{lo} must be at most {sec}.{hi}$"):
+        parse_config(overrides=[f"{sec}.{lo}=2", f"{sec}.{hi}=1"])
 
 
 @pytest.mark.parametrize("item", [
@@ -548,12 +560,60 @@ def test_round_sphere_steady_flow_follows_closed_form(tmp_path, N):
 def test_nu_with_tau_star_on_a_bound_fails(tmp_path, bound, edge):
     """tau* = 1/6 on the unit S^4 lies outside these ranges: the minimum
     sits on the bound, which is not the infimum, so the run fails and names
-    the bound, and the stderr warning stays."""
+    the bound in its report, its only verdict on the edge."""
     args = ["nu", *S4, "--N", "400", "--set", bound, "--output-dir", "e"]
-    with pytest.warns(UserWarning, match="edge of the scan range"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(args) == EXIT_PROPERTY
     rep = _report(tmp_path, "e")
     assert rep["tau_star_at_edge"] == edge and rep["pass"] is False
+
+
+def test_nu_with_tau_star_next_to_a_bound_passes(tmp_path):
+    # tau_min = 0.16 is the first point of the scan and its argmin, yet
+    # tau* = 1/6 lies inside the range: no edge, no warning
+    args = ["nu", *S4, "--N", "400", "--set", "nu.tau_min=0.16",
+            "--output-dir", "e"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == EXIT_OK
+    rep = _report(tmp_path, "e")
+    assert rep["tau_star_at_edge"] is None
+    assert abs(rep["tau_star"] - 1.0 / 6.0) < 1e-6
+
+
+# the entropy-flow benchmark's cone flow at N = 400: 55 sample intervals,
+# a cone-factor drift of 4.3e-7
+_CONE_FLOW = ["flow", "--preset", "perturbed_cone", "--N", "400",
+              "--set", "grid.p=1.0", "--set", "grid.L=2.0",
+              "--set", "metric.cutoff=0.7", "--set", "flow.reference=flat_cone",
+              "--set", "metric.amplitude=0.018863"]
+
+
+def test_cone_flow_steps_are_counted_and_k_halves(tmp_path):
+    # each interval runs k and 2k >= 3 steps; k halving back once an
+    # interval is easy keeps the count at 181 (331 if k never halved)
+    assert main([*_CONE_FLOW, "--output-dir", "c"]) == EXIT_OK
+    rep = _report(tmp_path, "c")
+    assert 3 * (rep["samples"] - 1) <= rep["steps"] <= 181
+
+
+def test_cone_flow_beyond_its_drift_bound_is_one_line(tmp_path, capsys):
+    args = [*_CONE_FLOW, "--set", "flow.drift_bound=1e-8",
+            "--set", "flow.entropy=none", "--output-dir", "d"]
+    assert main(args) == EXIT_OPERATIONAL
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("conelab: error: cone-condition drift beyond bound")
+    assert not (tmp_path / "d" / "report.json").exists()
+
+
+def test_perturbed_cone_reads_the_cone_factor():
+    # at zero amplitude the perturbed cone is the flat cone of metric.cone_factor
+    sets = ["grid.N=100", "metric.cone_factor=0.5", "metric.amplitude=0"]
+    cone = cli.build_metric(parse_config(overrides=sets))
+    pert = cli.build_metric(parse_config(
+        overrides=[*sets, "metric.preset=perturbed_cone"]))
+    assert np.array_equal(pert.b, cone.b) and np.array_equal(pert.a, cone.a)
 
 
 def test_heat_check_reads_its_link(tmp_path, monkeypatch):
