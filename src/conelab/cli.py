@@ -38,9 +38,9 @@ class ConfigError(geometry.ConelabError):
 # the most grid nodes: one lambda solve at N = 100000 takes 7 s and 110 MB
 MAX_NODES = 100_000
 
-# section -> key -> (parser, default[, interval]); a key outside this schema
-# is a fatal error.  The interval holds a numeric key's valid values: "[", "]"
-# include an end, "(", ")" exclude it, and an open finite lower end is 0.
+# section -> key -> (parser, default[, interval or choices]); any other key
+# is fatal.  An interval: "[", "]" include an end, "(", ")" exclude it, an
+# open finite lower end is 0.  Choices: a string key's tuple, default first.
 CONFIG_SCHEMA = {
     "run": {
         "seed": (int, 0, "[0, inf)"),
@@ -52,7 +52,8 @@ CONFIG_SCHEMA = {
         "L": (float, 1.0, "[1e-6, 1e6]"),
     },
     "metric": {
-        "preset": (str, "flat_cone"),
+        "preset": (str, "flat_cone", ("flat_cone", "sphere_suspension",
+                                      "perturbed_cone", "file")),
         "link": (str, "S3"),
         "k_max": (int, 12, "[1, 100000]"),
         "cone_factor": (float, 1.0, "[1e-6, 1e6]"),
@@ -71,19 +72,20 @@ CONFIG_SCHEMA = {
     },
     "mu": {
         "tau": (float, 0.5, "[1e-50, 1e50]"),
-        "variant": (str, "minus"),
+        "variant": (str, "minus", tuple(entropy._SIGN)),
     },
     "nu": {
-        "variant": (str, "minus"),
+        "variant": (str, "minus", tuple(entropy._SIGN)),
         "tau_min": (float, 1e-3, "[1e-50, 1e50]"),
         "tau_max": (float, 1e3, "[1e-50, 1e50]"),
     },
     "flow": {
         "t_end": (float, 0.004, "(0, inf)"),
-        "normalization": (str, "steady"),
-        "entropy": (str, "auto"),
+        "normalization": (str, "steady", tuple(flow._KAPPA)),
+        "entropy": (str, "auto",
+                    ("auto", *flow._MATCHING_ENTROPY.values(), "none")),
         "samples": (int, 55, "[1, 1000]"),
-        "reference": (str, "initial"),
+        "reference": (str, "initial", ("initial", "flat_cone")),
         "drift_bound": (float, 1e-3, "(0, inf)"),
     },
     "heat": {
@@ -128,8 +130,13 @@ def _set_value(cfg: dict, section: str, key: str, raw) -> None:
     cfg[section][key] = val
 
 
-def _check_interval(name: str, val, interval: str) -> None:
-    """Reject a value outside the key's interval, naming the key."""
+def _check_interval(name: str, val, interval: str | tuple) -> None:
+    """Reject a value outside the key's interval or choices, naming the key."""
+    if isinstance(interval, tuple):
+        if val not in interval:
+            raise ConfigError(f"{name} must be one of {', '.join(interval)}; "
+                              f"got {val!r}")
+        return
     lo, hi = interval[1:-1].split(", ")
     if val < float(lo) or (interval[0] == "(" and val == float(lo)):
         raise ConfigError(f"{name} must be positive" if interval[0] == "("
@@ -175,6 +182,8 @@ def _validate(cfg: dict) -> None:
     if cfg["metric"]["path"] and cfg["metric"]["preset"] != "file":
         raise ConfigError(
             "metric.path conflicts with metric.preset; use preset = file")
+    if cfg["metric"]["preset"] == "file" and not cfg["metric"]["path"]:
+        raise ConfigError("metric.preset = file requires metric.path")
 
 
 def render_config(cfg: dict) -> str:
@@ -210,11 +219,7 @@ def build_metric(cfg: dict) -> geometry.RadialMetric:
         return geometry.perturbed_cone(link, grid, amplitude=m["amplitude"],
                                        exponent=m["exponent"], cutoff=cutoff,
                                        cone_factor=m["cone_factor"])
-    if m["preset"] == "file":
-        if not m["path"]:
-            raise ConfigError("metric.preset = file requires metric.path")
-        return geometry.metric_from_csv(link, m["path"])
-    raise ConfigError(f"unknown metric preset {m['preset']!r}")
+    return geometry.metric_from_csv(link, m["path"])  # preset = file
 
 
 # -- report plumbing ---------------------------------------------------------------
@@ -361,8 +366,6 @@ def cmd_flow(cfg: dict) -> dict:
     if f["reference"] == "flat_cone":
         reference = geometry.flat_cone(metric.link, metric.grid,
                                        cone_factor=cfg["metric"]["cone_factor"])
-    elif f["reference"] != "initial":
-        raise ConfigError("flow.reference must be 'initial' or 'flat_cone'")
     fconf = flow.FlowConfig(
         t_end=f["t_end"], normalization=f["normalization"],
         reference=reference, samples=f["samples"],

@@ -274,7 +274,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
             slave_bands(a, b)
             if not positive(a, b):
                 return None
-            met = met._with_fields(a, b)
+            met = RadialMetric(met.link, grid, a, b)
         return met
 
     def diagnostics(t, met, time_error):
@@ -290,8 +290,8 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
             # tau = 1/(2 |kappa|) = 1/2, the scale at which a fixed point
             # Ric = kappa g of the normalized flow is a soliton
             ev = entropy.compute_mu(met, 0.5, variant=variant).value
-        # a bare copy: the trajectory must not keep each sample's memo alive
-        return FlowState(t=t, metric=met._with_fields(met.a, met.b),
+        # a fresh copy: the trajectory must not keep each sample's memo alive
+        return FlowState(t=t, metric=RadialMetric(met.link, grid, met.a, met.b),
                          sup_ric=float(np.max(np.abs(ric))),
                          sup_ric_normalized=float(np.max(np.abs(ric - kappa))),
                          cone_factor=cf,
@@ -330,7 +330,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
             coarse = fine if coarse is not None else advance(metric, k, h / k)
         if err <= 0.25 * TIME_TOL * change and k > 1:
             k //= 2
-        metric = metric._with_fields(a, b)
+        metric = RadialMetric(metric.link, grid, a, b)
         trajectory.append(diagnostics(t, metric, err))
     return trajectory
 

@@ -180,19 +180,6 @@ class RadialMetric:
         if (b < 0).any() or (b[:-1] <= 0).any():
             raise ValueError("b must be positive (b = 0 allowed only at the cap)")
 
-    def _with_fields(self, a: np.ndarray, b: np.ndarray) -> "RadialMetric":
-        """This metric's grid and link with new fields a and b, unchecked.
-
-        For a caller that has checked a and b itself and hands them over:
-        they are made read-only in place rather than copied.
-        """
-        new = object.__new__(RadialMetric)
-        for name, val in (("link", self.link), ("grid", self.grid),
-                          ("a", _read_only(a)), ("b", _read_only(b)),
-                          ("_memo", {})):
-            object.__setattr__(new, name, val)
-        return new
-
     @property
     def m(self) -> int:
         """Total dimension of the conical manifold."""
@@ -244,10 +231,7 @@ def _ricci_pair(metric: RadialMetric) -> tuple[np.ndarray, np.ndarray]:
     D2b = (d2b - db * da / a) / a**2
     safe_b = np.where(b > 0, b, 1.0)
     ric_rad = -n * D2b / safe_b
-    if n > 1:
-        ric_link = -D2b / safe_b + (n - 1) * (kappa - Db**2) / safe_b**2
-    else:
-        ric_link = -D2b / safe_b
+    ric_link = -D2b / safe_b + (n - 1) * (kappa - Db**2) / safe_b**2
     _pole_takes_neighbour(metric, ric_rad, ric_link)
     return _read_only(ric_rad), _read_only(ric_link)
 

@@ -253,9 +253,6 @@ def _lambda_problem(metric: RadialMetric) -> LambdaProblem:
     return LambdaProblem(prob, value, omega, el_res, cons)
 
 
-FIT_EXPONENT_SENTINEL = np.inf
-
-
 def bounded_minimize(f, lo: float, hi: float, xatol: float) -> float:
     """Brent's bounded minimization of f on [lo, hi], scipy 1.17.1's
     `_minimize_scalar_bounded` op for op (constants, stop rule, 500-evaluation
@@ -343,7 +340,7 @@ def fit_asymptotics(u, grid: RadialGrid) -> tuple[float, float, float]:
 
     The window is [max(4 x_1, 1e-3 L), L/10].  Returns (c0, e, rms
     residual) of `fit_power_model`; a field that is constant to machine
-    precision returns the +inf exponent sentinel.
+    precision returns the exponent +inf.
     """
     vals = np.asarray(u, dtype=float)
     x = grid.x
@@ -358,5 +355,5 @@ def fit_asymptotics(u, grid: RadialGrid) -> tuple[float, float, float]:
     xs, ys = x[sel], vals[sel]
     scale = np.max(np.abs(ys))
     if scale == 0 or np.ptp(ys) <= 1e-13 * scale:
-        return float(np.mean(ys)), FIT_EXPONENT_SENTINEL, 0.0
+        return float(np.mean(ys)), np.inf, 0.0
     return fit_power_model(xs, ys, (1e-3, 4.0))

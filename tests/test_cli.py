@@ -69,6 +69,8 @@ class TestConfig:
             parse_config(overrides=["grid.N=8"])
         with pytest.raises(ConfigError, match="preset"):
             parse_config(overrides=["metric.path=m.csv"])
+        with pytest.raises(ConfigError, match="requires metric.path"):
+            parse_config(overrides=["metric.preset=file"])
 
     def test_render_round_trips_in_memory(self, tmp_path):
         cfg = parse_config(overrides=["grid.N=123", "mu.tau=0.3"])
@@ -174,19 +176,24 @@ class TestExitCodes:
         ["mu", "--N", "200", "--variant", "foo"],
         ["nu", "--preset", "sphere_suspension", "--N", "200",
          "--set", "nu.variant=foo"],
-        ["mu", "--preset", "sphere_suspension", "--N", "200",
-         "--set", "mu.tau=1e-300"],
+        ["mu", "--preset", "sphere_suspension", "--link", "S40", "--N", "200",
+         "--set", "mu.tau=1e-50"],
     ])
     def test_solver_failure_is_one_line(self, tmp_path, capsys, args):
         # a Newton failure on the flat cone's roundoff-level curvature, an
-        # unknown W variant, and an overflow of (4 pi tau)^{-m/2} end in
-        # exit 1 and one message, no traceback
+        # unknown W variant, refused when the config is parsed, and a tau
+        # inside the configured range whose (4 pi tau)^{-m/2} still
+        # overflows at m = 41 end in exit 1 and one message, no traceback
         assert main([*args, "--output-dir", "x"]) == EXIT_OPERATIONAL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
         joined = " ".join(args)
         if "foo" in joined:
-            assert "unknown variant 'foo'" in err[0]
+            assert "variant must be one of minus, plus; got 'foo'" in err[0]
+        elif "S40" in joined:
+            assert err[0].endswith(
+                "tau = 1e-50 out of range: (4 pi tau)^(-m/2) at m = 41 is "
+                "not a finite positive float")
         elif joined.endswith("--N 200"):
             # the solver's own message, not min()'s over no converged start
             assert "mu_minus Newton iteration failed at tau=" in err[0]
@@ -432,6 +439,18 @@ def test_out_of_range_value_rejected_by_parse_config(item):
         parse_config(overrides=[item])
 
 
+@pytest.mark.parametrize("key", [
+    "metric.preset", "mu.variant", "nu.variant", "flow.normalization",
+    "flow.entropy", "flow.reference"])
+def test_string_value_outside_its_choices_rejected_by_parse_config(key):
+    # refused before any subcommand runs, naming the key and its choices
+    section, name = key.split(".")
+    choices = ", ".join(CONFIG_SCHEMA[section][name][2])
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{key} must be one of {choices}; got 'bogus'")):
+        parse_config(overrides=[f"{key}=bogus"])
+
+
 def test_convergence_finest_grid_within_grid_bound():
     # 250 * 2**12 nodes exceeds grid.N's bound; 16 * 2**12 does not
     with pytest.raises(ConfigError, match=re.escape(
@@ -526,7 +545,7 @@ def test_tip_fit_runs_only_in_the_report_layer(s3, monkeypatch):
     assert len(calls) == 1
 
 
-def test_step_collapse_names_cfl_and_t_end(capsys):
+def test_step_collapse_names_t_end_and_samples(capsys):
     # the step is set by an error estimate; a sample interval that no
     # allowed number of steps resolves names the keys that set it
     args = ["flow", "--output-dir", "f",

@@ -330,6 +330,15 @@ class TestPreconditions:
         with pytest.raises(FlowError, match="admissible"):
             run_flow(bad, cfg)
 
+    def test_interior_neck_rejected(self, s3):
+        # b dips to 0.01 x at x = 0.5: the nodes there fall under the tip
+        # margin, so the frozen region is not two boundary bands
+        g = RadialGrid.graded(200, 1.0, p=1.0)
+        neck = 1.0 - 0.99 * np.exp(-(g.x - 0.5) ** 2 / 0.001)
+        met = RadialMetric(link=s3, grid=g, a=np.ones(g.N), b=g.x * neck)
+        with pytest.raises(FlowError, match="not two boundary bands"):
+            run_flow(met, FlowConfig(t_end=1e-4, entropy_kind="none"))
+
     def test_unstable_link_rejected(self):
         bad_link = linkmod.LinkData(
             n=3, scal_F=6.0, vol_F=2.0 * math.pi**2,

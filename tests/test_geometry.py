@@ -217,6 +217,15 @@ class TestCurvature:
         assert np.max(np.abs(rl[inner])) < 1e-10
         assert np.max(np.abs(sc[inner])) < 1e-10
 
+    @pytest.mark.parametrize("r", [0.7, 1.3])
+    def test_s1_suspension_is_the_round_s2(self, r):
+        # over the circle, where kappa is undefined and (n - 1) = 0, the one
+        # formula gives Ric = 1/r^2 in both components, as on the round S^2
+        met = sphere_suspension(linkmod.sphere_link(1, 4), 800, radius=r,
+                                p=1.0)
+        for ric in warped_ricci(met):
+            assert np.max(np.abs(ric * r**2 - 1.0)) < 1e-6
+
     def test_flat_cone_any_einstein_link(self):
         s2 = linkmod.sphere_link(2, 4)
         g = RadialGrid.graded(64, 1.0, p=1.0)

@@ -564,6 +564,14 @@ def test_heat_convolve_resolvent_identity(s3):
     assert abs(ratio - expect) < 0.02 * expect
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_heat_convolve_time_validation(s3, t):
+    # checked before the tail's node count, which divides by sqrt(t)
+    grid = RadialGrid.graded(200, 1.0, p=1.0)
+    with pytest.raises(ValueError, match="time t must be finite and positive"):
+        heat_convolve(s3, t, np.ones(200), grid)
+
+
 def test_heat_convolve_warns_once_at_the_caller(s3):
     """A source with mass at L warns once, attributed to the caller's file,
     not once per tail node from inside heat.py."""

@@ -90,16 +90,20 @@ def test_config_block_lists_the_schema_keys():
 
 
 def test_config_block_prints_the_schema_defaults_and_intervals():
-    # a string key may list its choices as `a | b | ...`, the default first;
-    # a key printed without `= value` has the empty default
+    # a string key prints its choices as `a | b | ...`, the default first,
+    # or its default alone when it has none; a key printed without
+    # `= value` has the empty default
     for section, keys in _ini_entries().items():
         for key, (value, interval) in keys.items():
-            parse, default, *schema_interval = CONFIG_SCHEMA[section][key]
+            parse, default, *extra = CONFIG_SCHEMA[section][key]
             name = f"{section}.{key}"
             if value is None:
                 assert default == "", name
             elif parse is str:
-                assert value.split("|")[0].strip() == default, name
+                choices = extra.pop() if extra else (default,)
+                assert choices[0] == default, name
+                assert [v.strip() for v in value.split("|")] == [*choices], \
+                    name
             else:
                 assert parse(value) == default, name
-            assert interval == (schema_interval or [None])[0], name
+            assert interval == (extra or [None])[0], name
