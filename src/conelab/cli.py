@@ -184,6 +184,12 @@ def _validate(cfg: dict) -> None:
             "metric.path conflicts with metric.preset; use preset = file")
     if cfg["metric"]["preset"] == "file" and not cfg["metric"]["path"]:
         raise ConfigError("metric.preset = file requires metric.path")
+    f = cfg["flow"]
+    matching = flow._MATCHING_ENTROPY[f["normalization"]]
+    if f["entropy"] not in ("auto", matching, "none"):
+        raise ConfigError(
+            f"flow.entropy = {f['entropy']} cannot be certified under "
+            f"flow.normalization = {f['normalization']} (needs {matching})")
 
 
 def render_config(cfg: dict) -> str:

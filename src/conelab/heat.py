@@ -40,7 +40,7 @@ import warnings
 import numpy as np
 
 from .geometry import RadialGrid, smooth_cutoff
-from .spectral import fit_power_model, nu_from_mode
+from .spectral import _scipy_compiled, fit_power_model, nu_from_mode
 
 _SERIES_MAX_Z = 30.0
 _SERIES_TERMS = 90
@@ -83,6 +83,8 @@ def bessel_i(nu, z, scaled: bool = False):
     (DLMF 10.40.1), which scipy.special.ive does not beat there and which
     stays finite where ive returns NaN, above z ~ 1.08e9; every other entry
     comes from ive, so every order below about 16,000 is covered at every z.
+    ive is loaded from scipy.special._special_ufuncs on the first call,
+    without scipy.special.
 
     scaled=True returns e^{-z} I_nu(z), finite for huge arguments; the plain
     variant overflows to inf past z ~ 709 as e^z does.
@@ -93,7 +95,7 @@ def bessel_i(nu, z, scaled: bool = False):
         raise ValueError("order nu must be >= 0")
     if np.any(z < 0):
         raise ValueError("argument z must be >= 0")
-    from scipy.special import ive
+    ive = _scipy_compiled("special._special_ufuncs", "ive")
     bigz = (z > _SERIES_MAX_Z) & (4.0 * nu * nu <= z)
     out = np.empty(z.shape)
     out[~bigz] = ive(nu[~bigz], z[~bigz])

@@ -16,7 +16,11 @@ extension at the tip.  The mass matrix is the lumped (diagonal) volume form.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +33,38 @@ class EigensolverError(ConelabError):
     pass
 
 
+class ScipyLayoutError(ConelabError):
+    pass
+
+
+@functools.cache
+def _scipy_compiled(module: str, name: str):
+    """The compiled routine `name` of scipy's extension module `module`,
+    such as ("linalg._flapack", "dgtsv"), loaded from its file so that the
+    subpackage's __init__ (about 0.2 s and 25 MB for scipy.linalg or
+    scipy.special) never runs.  It is the very object that the subpackage
+    exports.  ScipyLayoutError if the file or the name is missing."""
+    import scipy
+    base = os.path.join(os.path.dirname(scipy.__file__), *module.split("."))
+    paths = [base + s for s in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.exists(p)), None)
+    if path is not None:
+        spec = importlib.util.spec_from_file_location(f"scipy.{module}", path)
+        ext = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ext)
+        if hasattr(ext, name):
+            return getattr(ext, name)
+    raise ScipyLayoutError(f"scipy {scipy.__version__} has no compiled "
+                           f"{name} in {path or paths[0]}")
+
+
 def solve_banded(ab, b):
     """Solve the tridiagonal system in (3, N) banded storage ab by LAPACK's
     dgtsv, bit for bit as scipy.linalg.solve_banded((1, 1), ab, b).
     ValueError on a non-finite entry and np.linalg.LinAlgError on a singular
-    matrix, as scipy raises; ab and b stay untouched, and scipy.linalg is
-    imported on the first solve."""
-    from scipy.linalg.lapack import dgtsv
+    matrix, as scipy raises; ab and b stay untouched.  dgtsv is loaded from
+    scipy.linalg._flapack on the first solve, without scipy.linalg."""
+    dgtsv = _scipy_compiled("linalg._flapack", "dgtsv")
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)

@@ -170,6 +170,16 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "bad" / "report.json").exists()
 
+    def test_entropy_not_matching_the_normalization_is_one_line(self, capsys):
+        # a config that flow refuses is refused by every subcommand
+        args = ["heat-check", "--set", "flow.normalization=shrink",
+                "--set", "flow.entropy=lambda"]
+        assert main(args) == EXIT_OPERATIONAL
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("conelab: error: flow.entropy = lambda cannot be "
+                        "certified under flow.normalization = shrink "
+                        "(needs mu_minus)")
+
     @pytest.mark.parametrize("args", [
         ["mu", "--N", "200"],
         ["nu", "--N", "200"],
@@ -711,34 +721,56 @@ def _run_fresh(script, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_heat_ops_load_neither_scipy_optimize_nor_scipy_linalg(tmp_path):
-    """heat-check and mapping never solve a banded system and no op runs
-    scipy's minimizer, so a fresh process leaves both modules unloaded."""
-    script = (
-        "import sys\n"
-        "from conelab import cli\n"
-        "assert cli.main(['heat-check', '--set', 'heat.n_samples=10',\n"
-        "                 '--output-dir', 'h']) == 0\n"
-        "assert cli.main(['mapping', '--set', 'mapping.exponent=1',\n"
-        "                 '--output-dir', 'm']) == 0\n"
-        "loaded = {'scipy.optimize', 'scipy.linalg'} & set(sys.modules)\n"
-        "assert not loaded, loaded\n"
-        "assert cli.main(['nu', '--preset', 'sphere_suspension', '--N', '120',\n"
-        "                 '--output-dir', 'n']) == 0\n"
-        "assert 'scipy.optimize' not in sys.modules\n")
-    _run_fresh(script, tmp_path)
-
-
-def test_import_loads_no_scipy_and_lambda_loads_only_scipy_linalg(tmp_path):
-    """`import conelab` and its CLI load no scipy module; a lambda op's
-    banded solves load scipy.linalg, and still not scipy.optimize."""
+def test_no_op_loads_a_scipy_subpackage(tmp_path):
+    """`import conelab` loads no scipy module, and the banded solves and
+    Bessel calls of every op load only the compiled extensions, so a fresh
+    process never runs a scipy subpackage's __init__."""
     script = (
         "import sys\n"
         "import conelab\n"
         "from conelab import cli\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
-        "assert cli.main(['lambda', '--N', '100', '--output-dir', 'l']) == 0\n"
-        "assert 'scipy.linalg' in sys.modules\n"
-        "assert 'scipy.optimize' not in sys.modules\n")
+        "sphere = ['--preset', 'sphere_suspension', '--N', '120']\n"
+        "for args in (['lambda', *sphere], ['mu', *sphere], ['nu', *sphere],\n"
+        "             ['flow', *sphere, '--set', 'flow.t_end=0.001',\n"
+        "              '--set', 'flow.samples=2'],\n"
+        "             ['heat-check', '--set', 'heat.n_samples=10'],\n"
+        "             ['mapping', '--set', 'mapping.exponent=1']):\n"
+        "    assert cli.main([*args, '--output-dir', args[0]]) == 0, args\n"
+        "packages = {'scipy.linalg', 'scipy.special', 'scipy.optimize',\n"
+        "            'scipy.interpolate'}\n"
+        "loaded = packages & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "assert {'scipy.linalg._flapack',\n"
+        "        'scipy.special._special_ufuncs'} <= set(sys.modules)\n")
     _run_fresh(script, tmp_path)
+
+
+def test_loaded_routines_are_the_ones_scipy_exports(tmp_path):
+    """dgtsv and ive, loaded first, are the very objects that scipy.linalg
+    and scipy.special export when imported afterwards: the same code."""
+    script = (
+        "import sys\n"
+        "from conelab.spectral import _scipy_compiled\n"
+        "dgtsv = _scipy_compiled('linalg._flapack', 'dgtsv')\n"
+        "ive = _scipy_compiled('special._special_ufuncs', 'ive')\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "import scipy.linalg.lapack, scipy.special\n"
+        "assert dgtsv is scipy.linalg.lapack.dgtsv\n"
+        "assert ive is scipy.special.ive\n")
+    _run_fresh(script, tmp_path)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("linalg._flapack_moved", "dgtsv"), ("linalg._flapack", "dgtsv_moved")])
+def test_moved_scipy_layout_is_one_line(module, name, monkeypatch, capsys):
+    import scipy
+    load = spectral._scipy_compiled.__wrapped__
+    monkeypatch.setattr(spectral, "_scipy_compiled",
+                        lambda *_: load(module, name))
+    assert main(["lambda", "--N", "100"]) == EXIT_OPERATIONAL
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f"scipy {scipy.__version__} has no compiled {name} in " in line
+    assert module.replace(".", os.sep) in line
