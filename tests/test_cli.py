@@ -721,6 +721,44 @@ def _run_fresh(script, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_heat_ops_load_neither_scipy_optimize_nor_scipy_linalg(tmp_path):
+    """heat-check and mapping never solve a banded system and no op runs
+    scipy's minimizer, so a fresh process leaves both modules unloaded."""
+    script = (
+        "import sys\n"
+        "from conelab import cli\n"
+        "assert cli.main(['heat-check', '--set', 'heat.n_samples=10',\n"
+        "                 '--output-dir', 'h']) == 0\n"
+        "assert cli.main(['mapping', '--set', 'mapping.exponent=1',\n"
+        "                 '--output-dir', 'm']) == 0\n"
+        "loaded = {'scipy.optimize', 'scipy.linalg'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "assert cli.main(['nu', '--preset', 'sphere_suspension', '--N', '120',\n"
+        "                 '--output-dir', 'n']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n")
+    _run_fresh(script, tmp_path)
+
+
+def test_import_loads_no_scipy_and_lambda_loads_only_scipy_linalg(tmp_path):
+    """`import conelab` and its CLI load no scipy module; a lambda op's
+    banded solves load scipy.linalg's compiled _flapack and no other scipy
+    subpackage, not even the scipy.linalg package init."""
+    script = (
+        "import sys\n"
+        "import conelab\n"
+        "from conelab import cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+        "assert cli.main(['lambda', '--N', '100', '--output-dir', 'l']) == 0\n"
+        "subpackages = {m.split('.')[1] for m in sys.modules\n"
+        "               if m.startswith('scipy.') and m != 'scipy.version'\n"
+        "               and not m.split('.')[1].startswith('_')}\n"
+        "assert subpackages == {'linalg'}, subpackages\n"
+        "assert 'scipy.linalg._flapack' in sys.modules\n"
+        "assert 'scipy.linalg' not in sys.modules\n")
+    _run_fresh(script, tmp_path)
+
+
 def test_no_op_loads_a_scipy_subpackage(tmp_path):
     """`import conelab` loads no scipy module, and the banded solves and
     Bessel calls of every op load only the compiled extensions, so a fresh
