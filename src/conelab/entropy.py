@@ -275,9 +275,9 @@ def compute_nu(metric: RadialMetric, variant: str = "minus",
 
     lt = spectral.bounded_minimize(mu_at, lo, hi, _LOG_TAU_TOL)
     best = cache[lt]
-    # the minimizer stops once its bracket is at most 4 tol1 wide; a tau*
-    # that close to a bound is the bound, not an interior minimum
-    width = 4.0 * (math.sqrt(2.2e-16) * abs(lt) + _LOG_TAU_TOL / 3.0)
+    # a tau* within the minimizer's final bracket of a bound is the bound,
+    # not an interior minimum
+    width = 4.0 * spectral._brent_tol1(lt, _LOG_TAU_TOL)
     edge = next((name for name, bound in zip(("tau_min", "tau_max"), tau_range)
                  if abs(lt - math.log(bound)) <= width), None)
     scanned = sorted(cache)

@@ -58,7 +58,7 @@ class FlowConfig:
     normalization: str = "steady"
     reference: RadialMetric | None = None  # None: the initial metric
     samples: int = 1                       # sample at t = t_end * j / samples
-    entropy_kind: str = "auto"             # auto | the matching one | none
+    entropy: bool = True                   # sample entropy_name at each t
     cone_drift_bound: float = 1e-3
 
     def __post_init__(self):
@@ -68,13 +68,11 @@ class FlowConfig:
             raise ValueError("samples must be at least 1")
         if self.normalization not in _KAPPA:
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        matching = _MATCHING_ENTROPY[self.normalization]
-        if self.entropy_kind == "auto":
-            self.entropy_kind = matching
-        if self.entropy_kind not in (matching, "none"):
-            raise ValueError(
-                f"entropy {self.entropy_kind!r} cannot be certified under the "
-                f"{self.normalization!r} normalization (needs {matching!r})")
+
+    @property
+    def entropy_name(self) -> str:
+        """The entropy the normalization makes monotone, the one sampled."""
+        return _MATCHING_ENTROPY[self.normalization]
 
 
 @dataclass
@@ -283,13 +281,13 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
             raise FlowError(f"cone-condition drift beyond bound at t = {t:.6g}")
         ric = np.stack([r[live] for r in warped_ricci(met)])
         ev = None
-        if config.entropy_kind == "lambda":
-            ev = entropy.compute_lambda(met).value
-        elif config.entropy_kind in ("mu_minus", "mu_plus"):
-            variant = "minus" if config.entropy_kind == "mu_minus" else "plus"
-            # tau = 1/(2 |kappa|) = 1/2, the scale at which a fixed point
-            # Ric = kappa g of the normalized flow is a soliton
-            ev = entropy.compute_mu(met, 0.5, variant=variant).value
+        if config.entropy:
+            # lambda, or mu at tau = 1/(2 |kappa|) = 1/2, the scale at
+            # which a fixed point Ric = kappa g of the flow is a soliton
+            name = config.entropy_name
+            ev = (entropy.compute_lambda(met) if name == "lambda" else
+                  entropy.compute_mu(met, 0.5,
+                                     variant=name.removeprefix("mu_"))).value
         # a fresh copy: the trajectory must not keep each sample's memo alive
         return FlowState(t=t, metric=RadialMetric(met.link, grid, met.a, met.b),
                          sup_ric=float(np.max(np.abs(ric))),
@@ -349,12 +347,12 @@ def monotonicity_report(trajectory: list[FlowState], config: FlowConfig,
                         tol_mono: float = 1e-7) -> MonotonicityReport:
     """Check the sampled entropy sequence for monotone increase.
 
-    The entropy is the one the config sampled, which FlowConfig guarantees
-    matches the normalization.  A constant sequence (total variation below
-    1e-10) is cross-checked against the stationarity criterion: the flow is
-    at a fixed point exactly when Ric = kappa g, so sup |Ric - kappa g| at
-    the final state must be below 1e-6 for a constant entropy to be
-    consistent.
+    The entropy is config.entropy_name, the one the normalization makes
+    monotone; a trajectory run with config.entropy off is refused.  A
+    constant sequence (total variation below 1e-10) is cross-checked
+    against the stationarity criterion: the flow is at a fixed point
+    exactly when Ric = kappa g, so sup |Ric - kappa g| at the final state
+    must be below 1e-6 for a constant entropy to be consistent.
     """
     vals = np.array([s.entropy_value for s in trajectory], dtype=float)
     if np.any(~np.isfinite(vals)):
@@ -369,7 +367,7 @@ def monotonicity_report(trajectory: list[FlowState], config: FlowConfig,
     if constant:
         stat_sup = trajectory[-1].sup_ric_normalized
         stat_ok = stat_sup < 1e-6
-    return MonotonicityReport(which=config.entropy_kind,
+    return MonotonicityReport(which=config.entropy_name,
                               min_successive_diff=min_diff, passed=passed,
                               constant=constant, stationarity_sup=stat_sup,
                               stationarity_ok=stat_ok)

@@ -90,8 +90,11 @@ def sphere_volume(n: int) -> float:
 
 def sphere_link(n: int, k_max: int) -> LinkData:
     """Unit round sphere S^n with Laplace spectrum k(k+n-1), k <= k_max."""
-    if n < 1 or k_max < 1:
-        raise ValueError("need n >= 1 and k_max >= 1")
+    if n < 1:
+        raise ValueError(f"link S{n}: the sphere dimension n = {n} must be "
+                         "at least 1")
+    if k_max < 1:
+        raise ValueError(f"link S{n}: k_max = {k_max} must be at least 1")
     spec = tuple(
         (float(k * (k + n - 1)), _sphere_harmonic_multiplicity(n, k))
         for k in range(k_max + 1)

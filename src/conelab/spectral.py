@@ -282,6 +282,11 @@ def _lambda_problem(metric: RadialMetric) -> LambdaProblem:
     return LambdaProblem(prob, value, omega, el_res, cons)
 
 
+def _brent_tol1(x: float, xatol: float) -> float:
+    """Brent's least step at x; the final bracket is at most 4 of it wide."""
+    return math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
+
+
 def bounded_minimize(f, lo: float, hi: float, xatol: float) -> float:
     """Brent's bounded minimization of f on [lo, hi], scipy 1.17.1's
     `_minimize_scalar_bounded` op for op (constants, stop rule, 500-evaluation
@@ -289,7 +294,6 @@ def bounded_minimize(f, lo: float, hi: float, xatol: float) -> float:
     a, b = float(lo), float(hi)
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise ValueError(f"bounds [{lo!r}, {hi!r}] must be finite and ordered")
-    sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
@@ -299,7 +303,7 @@ def bounded_minimize(f, lo: float, hi: float, xatol: float) -> float:
     ffulc = fnfc = fx
     while num < 500:
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol1 = _brent_tol1(xf, xatol)
         tol2 = 2.0 * tol1
         if abs(xf - xm) <= tol2 - 0.5 * (b - a):
             break

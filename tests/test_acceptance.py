@@ -213,14 +213,14 @@ def test_09_flow_fixed_points_and_monotonicity(s3):
     g1 = RadialGrid.graded(300, 1.0, p=1.0)
     fc = flat_cone(s3, g1)
     cfg1 = flow.FlowConfig(t_end=1e-3, normalization="steady",
-                           entropy_kind="none")
+                           entropy=False)
     tr1 = flow.run_flow(fc, cfg1)
     drift_fc = max(np.max(np.abs(tr1[-1].metric.a - fc.a)),
                    np.max(np.abs(tr1[-1].metric.b - fc.b))) / cfg1.t_end
 
     sph = sphere_suspension(s3, 300, radius=math.sqrt(3.0))
     cfg2 = flow.FlowConfig(t_end=1e-3, normalization="shrink",
-                           entropy_kind="none")
+                           entropy=False)
     tr2 = flow.run_flow(sph, cfg2)
     drift_sp = max(np.max(np.abs(tr2[-1].metric.a - sph.a)),
                    np.max(np.abs(tr2[-1].metric.b - sph.b))) / cfg2.t_end
@@ -228,8 +228,7 @@ def test_09_flow_fixed_points_and_monotonicity(s3):
     g3 = RadialGrid.graded(800, 2.0, p=1.0)
     pert = perturbed_cone(s3, g3, amplitude=0.01, exponent=2.0, cutoff=0.7)
     T = 0.004
-    cfg3 = flow.FlowConfig(t_end=T, normalization="steady",
-                           entropy_kind="lambda", samples=55,
+    cfg3 = flow.FlowConfig(t_end=T, normalization="steady", samples=55,
                            reference=flat_cone(s3, g3))
     tr3 = flow.run_flow(pert, cfg3)
     mono = flow.monotonicity_report(tr3, cfg3)

@@ -161,24 +161,26 @@ class TestExitCodes:
         assert main(["heat-check"]) == EXIT_OK
 
     def test_operational_error_writes_no_report(self, tmp_path, capsys):
-        # flow entropy kind incompatible with the normalization
+        # an entropy other than the one the normalization makes monotone
         args = ["flow", "--preset", "sphere_suspension", "--N", "300",
                 "--output-dir", "bad",
                 "--set", "flow.normalization=shrink",
                 "--set", "flow.entropy=lambda"]
         assert main(args) == EXIT_OPERATIONAL
-        assert "error" in capsys.readouterr().err
-        assert not (tmp_path / "bad" / "report.json").exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("conelab: error: flow.entropy must be one of")
+        assert not (tmp_path / "bad").exists()
 
     def test_entropy_not_matching_the_normalization_is_one_line(self, capsys):
-        # a config that flow refuses is refused by every subcommand
-        args = ["heat-check", "--set", "flow.normalization=shrink",
-                "--set", "flow.entropy=lambda"]
-        assert main(args) == EXIT_OPERATIONAL
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line == ("conelab: error: flow.entropy = lambda cannot be "
-                        "certified under flow.normalization = shrink "
-                        "(needs mu_minus)")
+        # flow.entropy only switches the normalization's own entropy on or
+        # off, so a named entropy is refused by every subcommand
+        for sub in cli._RUNNERS:
+            args = [sub, "--set", "flow.normalization=shrink",
+                    "--set", "flow.entropy=lambda"]
+            assert main(args) == EXIT_OPERATIONAL
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line == ("conelab: error: flow.entropy must be one of "
+                            "auto, none; got 'lambda'")
 
     @pytest.mark.parametrize("args", [
         ["mu", "--N", "200"],
@@ -227,6 +229,7 @@ class TestExitCodes:
          "--set", "nu.tau_min=0"],
         ["flow", "--preset", "perturbed_cone", "--set", "flow.drift_bound=0"],
         ["flow", "--preset", "perturbed_cone", "--set", "flow.drift_bound=-1"],
+        ["link-check", "--link", "S0"],
     ])
     def test_usage_error_is_one_line(self, tmp_path, capsys, args):
         # flags are --set shorthands: validated like the config, and a
@@ -235,6 +238,10 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
         assert not (tmp_path / "u").exists()
+        if "S0" in args:
+            # the link and its dimension, not k_max, are at fault
+            assert err[0].endswith(
+                "link S0: the sphere dimension n = 0 must be at least 1")
 
     @pytest.mark.parametrize("args", [
         ["mu", "--set", "mu.tau=1e-300"],
@@ -321,7 +328,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("lines, bad", [
         (["n = 3", "scal_F = 6.0", "vol_F = 19.7", "eig = 0 1", "eig = 9"], 5),
         (["n = 3", "scal_F = 6.0", "vol_F = 19.7", "eig = 3 4.5"], 4),
-        (["# a link", "n = three", "scal_F = 6.0", "vol_F = 19.7"], 2)])
+        (["# a link", "n = three", "scal_F = 6.0", "vol_F = 19.7"], 2),
+        (["n = 3", "scal_F 6.0", "vol_F = 19.7", "eig = 0 1"], 2)])
     def test_malformed_link_file_is_one_line(self, tmp_path, capsys, lines,
                                              bad):
         # the message names the file, the line number and the line
@@ -333,6 +341,17 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("conelab: error: ")
         assert str(path) in err[0]
         assert f"line {bad} {lines[bad - 1]!r}" in err[0]
+        assert not (tmp_path / "d" / "report.json").exists()
+
+    def test_link_file_without_eigenvalues_is_one_line(self, tmp_path, capsys):
+        # no `eig =` line: the whole file is at fault, so no line is named
+        path = tmp_path / "link.txt"
+        path.write_text("n = 3\nscal_F = 6.0\nvol_F = 19.7\n")
+        args = ["link-check", "--link", str(path), "--output-dir", "d"]
+        assert main(args) == EXIT_OPERATIONAL
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"conelab: error: link file {path}: "
+                        "laplace_spectrum must be nonempty")
         assert not (tmp_path / "d" / "report.json").exists()
 
     def test_flag_sets_only_its_own_key(self, tmp_path):
@@ -549,7 +568,7 @@ def test_tip_fit_runs_only_in_the_report_layer(s3, monkeypatch):
     assert len(calls) == 1
 
     grid = geometry.RadialGrid.graded(100, 1.0, p=1.0)
-    cfg = flow.FlowConfig(t_end=4e-4, entropy_kind="lambda", samples=4)
+    cfg = flow.FlowConfig(t_end=4e-4, samples=4)
     traj = flow.run_flow(geometry.flat_cone(s3, grid), cfg)
     assert len(traj) >= 4
     assert len(calls) == 1

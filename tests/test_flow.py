@@ -126,6 +126,16 @@ class TestFlowRHS:
         d2 = np.linalg.norm(deriv[1] - deriv[2])
         assert abs(math.log2(d1 / d2) - 2.0) < 0.2
 
+    def test_non_finite_rates_rejected(self, s3):
+        # b = 1e-200 at an interior node overflows the 1/b^2 terms
+        g = RadialGrid.graded(100, 1.0, p=1.0)
+        b = flat_cone(s3, g).b.copy()
+        b[50] = 1e-200
+        met = RadialMetric(link=s3, grid=g, a=np.ones(g.N), b=b)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FlowError, match="non-finite flow right-hand"):
+            flow_rhs(met, met, 0.0)
+
 
 class TestImplicitBands:
     @staticmethod
@@ -208,7 +218,7 @@ class TestFixedPointRuns:
         g = RadialGrid.graded(300, 1.0, p=1.0)
         met = flat_cone(s3, g)
         cfg = FlowConfig(t_end=1e-3, normalization="steady",
-                         entropy_kind="none")
+                         entropy=False)
         traj = run_flow(met, cfg)
         drift = max(np.max(np.abs(traj[-1].metric.a - met.a)),
                     np.max(np.abs(traj[-1].metric.b - met.b)))
@@ -217,7 +227,7 @@ class TestFixedPointRuns:
     def test_round_sphere_shrink_does_not_drift(self, s3):
         met = sphere_suspension(s3, 300, radius=math.sqrt(3.0))
         cfg = FlowConfig(t_end=1e-3, normalization="shrink",
-                         entropy_kind="none")
+                         entropy=False)
         traj = run_flow(met, cfg)
         drift = max(np.max(np.abs(traj[-1].metric.a - met.a)),
                     np.max(np.abs(traj[-1].metric.b - met.b)))
@@ -229,7 +239,7 @@ class TestFixedPointRuns:
         # (the sphere has a smooth cap at both poles, where b vanishes)
         met = sphere_suspension(s3, N, radius=math.sqrt(3.0), p=1.0)
         cfg = FlowConfig(t_end=0.02, normalization="shrink",
-                         entropy_kind="none")
+                         entropy=False)
         final = run_flow(met, cfg)[-1].metric
         for u, u0 in ((final.a, met.a), (final.b, met.b)):
             drift = np.max(np.abs(u - u0)) / np.max(np.abs(u0))
@@ -259,7 +269,7 @@ class TestTimeAccuracy:
         ref = flat_cone(s3, g)
         default, small = (
             run_flow(pert, FlowConfig(t_end=0.004, reference=ref,
-                                      entropy_kind="none", samples=n))[-1]
+                                      entropy=False, samples=n))[-1]
             for n in (samples, 20 * samples))
         assert abs(default.sup_ric / small.sup_ric - 1.0) < 0.01
 
@@ -273,8 +283,7 @@ class TestMonotonicity:
         pert = perturbed_cone(s3, g, amplitude=0.01, exponent=2.0, cutoff=0.7)
         ref = flat_cone(s3, g)
         T = 0.004
-        cfg = FlowConfig(t_end=T, normalization="steady",
-                         entropy_kind="lambda", samples=55,
+        cfg = FlowConfig(t_end=T, normalization="steady", samples=55,
                          reference=ref)
         traj = run_flow(pert, cfg)
         rep = monotonicity_report(traj, cfg)
@@ -289,8 +298,7 @@ class TestMonotonicity:
 
     def test_shrink_fixed_point_mu_constant(self, s3):
         met = sphere_suspension(s3, 300, radius=math.sqrt(3.0))
-        cfg = FlowConfig(t_end=0.01, normalization="shrink",
-                         entropy_kind="mu_minus", samples=5)
+        cfg = FlowConfig(t_end=0.01, normalization="shrink", samples=5)
         traj = run_flow(met, cfg)
         rep = monotonicity_report(traj, cfg)
         assert rep.passed
@@ -303,29 +311,27 @@ class TestMonotonicity:
         # flow; lambda = 12/c(t) is strictly increasing along it.  Its
         # poles keep their cone angle, so the default drift guard holds
         met = sphere_suspension(s3, 300, radius=1.0)
-        cfg = FlowConfig(t_end=0.01, normalization="steady",
-                         entropy_kind="lambda", samples=10)
+        cfg = FlowConfig(t_end=0.01, normalization="steady", samples=10)
         traj = run_flow(met, cfg)
         vals = np.array([s.entropy_value for s in traj])
         assert abs(vals[0] - 12.0) < 1e-6
         assert np.min(np.diff(vals)) > 0.0
 
-    def test_report_requires_matching_samples(self):
+    def test_report_requires_matching_samples(self, s3):
         # a flow samples only the entropy its normalization makes monotone,
-        # so a mismatched config is rejected before anything runs
-        for norm, kind in (("shrink", "mu_plus"), ("shrink", "lambda"),
-                           ("steady", "mu_minus"), ("expand", "what")):
-            with pytest.raises(ValueError, match="cannot be certified"):
-                FlowConfig(t_end=1e-3, normalization=norm, entropy_kind=kind)
-        assert FlowConfig(t_end=1e-3, normalization="shrink",
-                          entropy_kind="none").entropy_kind == "none"
+        # or none; a trajectory run with the entropy off has nothing to check
+        cfg = FlowConfig(t_end=1e-4, entropy=False)
+        traj = run_flow(flat_cone(s3, RadialGrid.graded(100, 1.0, p=1.0)), cfg)
+        assert all(s.entropy_value is None for s in traj)
+        with pytest.raises(FlowError, match="missing entropy samples"):
+            monotonicity_report(traj, cfg)
 
 
 class TestPreconditions:
     def test_inadmissible_perturbation_rejected(self, s3):
         g = RadialGrid.graded(300, 1.0, p=1.0)
         bad = flat_cone(s3, g, cone_factor=1.05)
-        cfg = FlowConfig(t_end=1e-4, entropy_kind="none",
+        cfg = FlowConfig(t_end=1e-4, entropy=False,
                          reference=flat_cone(s3, g))
         with pytest.raises(FlowError, match="admissible"):
             run_flow(bad, cfg)
@@ -337,7 +343,7 @@ class TestPreconditions:
         neck = 1.0 - 0.99 * np.exp(-(g.x - 0.5) ** 2 / 0.001)
         met = RadialMetric(link=s3, grid=g, a=np.ones(g.N), b=g.x * neck)
         with pytest.raises(FlowError, match="not two boundary bands"):
-            run_flow(met, FlowConfig(t_end=1e-4, entropy_kind="none"))
+            run_flow(met, FlowConfig(t_end=1e-4, entropy=False))
 
     def test_unstable_link_rejected(self):
         bad_link = linkmod.LinkData(
@@ -347,7 +353,7 @@ class TestPreconditions:
         g = RadialGrid.graded(300, 1.0, p=1.0)
         with pytest.raises(FlowError, match="unstable"):
             run_flow(flat_cone(bad_link, g),
-                     FlowConfig(t_end=1e-4, entropy_kind="none"))
+                     FlowConfig(t_end=1e-4, entropy=False))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -356,12 +362,14 @@ class TestPreconditions:
             FlowConfig(t_end=1.0, samples=0)
         with pytest.raises(ValueError):
             FlowConfig(t_end=1.0, normalization="slow")
-        with pytest.raises(ValueError):
-            FlowConfig(t_end=1.0, entropy_kind="sigma")
+        with pytest.raises(TypeError):
+            FlowConfig(t_end=1.0, entropy_kind="lambda")  # the removed field
 
     def test_entropy_kind_auto_matches_normalization(self):
-        assert FlowConfig(t_end=1.0, normalization="shrink").entropy_kind \
-            == "mu_minus"
-        assert FlowConfig(t_end=1.0, normalization="expand").entropy_kind \
-            == "mu_plus"
-        assert FlowConfig(t_end=1.0).entropy_kind == "lambda"
+        # the sampled entropy is read off the normalization, and only read
+        for norm, name in (("steady", "lambda"), ("shrink", "mu_minus"),
+                           ("expand", "mu_plus")):
+            cfg = FlowConfig(t_end=1.0, normalization=norm)
+            assert cfg.entropy is True and cfg.entropy_name == name
+            with pytest.raises(AttributeError):
+                cfg.entropy_name = "lambda"

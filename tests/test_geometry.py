@@ -340,8 +340,7 @@ def test_exact_zero_of_b_at_the_cap(s3):
         assert np.all(np.isfinite(w)) and w[-1] == w[-2]
         lam = entropy.compute_lambda(met).value
         assert abs(lam / entropy.compute_lambda(base).value - 1.0) < 1e-12
-        cfg = flow.FlowConfig(t_end=0.002, normalization="shrink",
-                              entropy_kind="mu_minus", samples=2)
+        cfg = flow.FlowConfig(t_end=0.002, normalization="shrink", samples=2)
         traj = flow.run_flow(met, cfg)
     assert len(traj) == 3
     assert all(np.isfinite(s.entropy_value) for s in traj)

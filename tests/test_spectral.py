@@ -166,6 +166,16 @@ class TestGroundState:
         assert abs(u @ (w * u) - 1.0) < 1e-12
         assert np.all(u > 0)
 
+    def test_sign_indefinite_ground_state_rejected(self):
+        # K = tridiag(1, 2, 1), M = I: the lowest mode alternates in sign,
+        # which no discretized Schroedinger ground state does
+        N = 50
+        prob = spectral.AssembledProblem(
+            diag=np.full(N, 2.0), off=np.ones(N - 1), mass=np.ones(N),
+            dirichlet_outer=False)
+        with pytest.raises(EigensolverError, match="sign-indefinite"):
+            solve_ground_state(prob)
+
 
 class TestFitAsymptotics:
     def test_exact_power_model(self):
