@@ -152,7 +152,10 @@ def parse_config(path: str | None = None,
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keep key case (N, L)
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:  # messages of several lines
+            raise ConfigError(f"config file {path}: {exc}".splitlines()[0])
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
@@ -345,9 +348,7 @@ def cmd_nu(cfg: dict) -> dict:
     rep = entropy.compute_nu(metric, variant=cfg["nu"]["variant"],
                              tau_range=(cfg["nu"]["tau_min"],
                                         cfg["nu"]["tau_max"]))
-    write_csv(cfg, "tau_profile.csv", ["tau", "mu"],
-              zip(rep.tau_profile.tolist(), rep.mu_profile.tolist()))
-    return {
+    report = {
         "value": rep.value,
         "tau_star": rep.tau_star,
         "variant": rep.variant,
@@ -356,6 +357,10 @@ def cmd_nu(cfg: dict) -> dict:
         "optimal_slice": _mu_report_dict(rep.mu_report, metric.grid),
         "pass": rep.tau_edge is None and _residual_gate(cfg, rep.mu_report),
     }
+    # the report first: its tip fit can refuse, and then nothing is written
+    write_csv(cfg, "tau_profile.csv", ["tau", "mu"],
+              zip(rep.tau_profile.tolist(), rep.mu_profile.tolist()))
+    return report
 
 
 def cmd_flow(cfg: dict) -> dict:
@@ -530,12 +535,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args.config, args.set + flags)
         report = {**_base_report(cfg, args.subcommand),
                   **_RUNNERS[args.subcommand](cfg)}
+        path = write_report(cfg, report)
     except (geometry.ConelabError, OSError, ValueError, ArithmeticError,
             MemoryError) as exc:
         print(f"conelab: error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
 
-    path = write_report(cfg, report)
     verdict = "pass" if report["pass"] else "property-check failure"
     print(f"conelab {args.subcommand}: {verdict} ({path})")
     return EXIT_OK if report["pass"] else EXIT_PROPERTY

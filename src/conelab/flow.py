@@ -20,9 +20,9 @@ D3 the 3-point second difference of the graded grid, by one tridiagonal
 solve per field, and the explicit remainder (the full right-hand side minus
 D3 u / a^2) explicitly.  The degenerate tip region, and a smooth outer cap,
 are held on a band of nodes slaved to the nearest evolved node; the slaving
-relation is part of the implicit solve, so the band adds no time error of
-its own.  The outer truncation stays at its initial values.  The IMEX
-step is first order in dt; each sample interval is integrated by step
+relation is a set of rows of the implicit system, so the band adds no time
+error of its own.  The outer truncation stays at its initial values.  The
+IMEX step is first order in dt; each sample interval is integrated by step
 doubling with local Richardson extrapolation, second order in dt.
 """
 
@@ -147,9 +147,10 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     multiplicatively to the initial profile (band values scale with the
     first evolved node); a smooth outer cap is slaved the same way from the
     other end, while a truncation boundary stays at its initial values.
-    The slaving is folded into the implicit row of the evolved node next to
-    each slaved band, so no solve couples to a stale band value; the two
-    fields' matrices differ in those rows only.
+    Each slaved node is a row u[i] - (u0[i] / u0[j]) u[j] = 0 of the
+    implicit system, j its neighbour towards the live rows, so one solve
+    returns live and slaved values together and no live row couples to a
+    stale band value; the two fields' matrices differ in those rows only.
 
     The trajectory is sampled at t = t_end * (j / samples).  Each sample
     interval takes k and 2k steps from its start and keeps 2 u_2k - u_k when
@@ -173,13 +174,15 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     if ref is not initial:
         # the initial metric must be an admissible perturbation of the
         # reference: same cone factor, deviation decaying at a positive rate
+        # (one constant on the tip-fit window has exponent +inf, and decays
+        # only if that constant is 0)
         ok = ref.b > 0
         v = np.zeros(N)
         v[ok] = initial.b[ok] / ref.b[ok] - 1.0
         vmax = float(np.max(np.abs(v)))
         if vmax > 1e-10:
             c0, e, _ = spectral.fit_asymptotics(v, grid)
-            if not np.isfinite(e) or e < 0.1 or abs(c0) > 0.1 * vmax:
+            if e < 0.1 or abs(c0) > 0.1 * vmax or (np.isinf(e) and c0 != 0):
                 raise FlowError(
                     "initial metric is not an admissible perturbation of "
                     "the reference (tip deviation does not decay)")
@@ -219,31 +222,17 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         return float(intercept_row @ (b[fit_sl] / s[fit_sl]))
 
     cf0 = fitted_cone_factor(initial.a, initial.b)
-    a0, b0 = initial.a, initial.b
 
-    # the slaving u[f-1] = r u[f], r = u0[f-1] / u0[f], at the first live
-    # row f, and on a cap u[l+1] = r u[l] at the last live row l, folded
-    # into the implicit rows: the band coupling A[f, f-1] moves onto the
-    # diagonal as A[f, f] + r A[f, f-1], so each solve sees the band it is
-    # slaved to afterwards
-    rows = [first_live]
-    nbrs = [first_live - 1]
-    if initial.has_cap:
-        rows.append(last_live)
-        nbrs.append(last_live + 1)
-    # banded storage ab[1 + i - j, j] = A[i, j] of each (row, neighbour)
-    couplings = (1 + np.array(rows) - np.array(nbrs), np.array(nbrs))
-    ratio_a, ratio_b = a0[nbrs] / a0[rows], b0[nbrs] / b0[rows]
-
-    def slave_bands(a, b):
-        # multiplicative slaving to the initial band profile: the excised
-        # tip keeps the indicial shape (a ~ const, b ~ slope * x for conical
-        # data) with the slope tracking the first evolved node; exact at
-        # fixed points and under uniform rescaling
-        for u, u0 in ((a, a0), (b, b0)):
-            u[:first_live] = u0[:first_live] * (u[first_live] / u0[first_live])
-            if initial.has_cap:
-                u[last_live + 1:] = u0[last_live + 1:] * (u[last_live] / u0[last_live])
+    # slaving rows: a tip band node keeps its initial ratio to the node
+    # above it, u[i] = (u0[i] / u0[i+1]) u[i+1], a cap node its ratio to the
+    # node below it; the excised tip keeps its indicial shape (a ~ const,
+    # b ~ slope * x for conical data), exact at fixed points and under
+    # uniform rescaling.  A truncation band keeps its identity rows
+    tip, cap = slice(first_live), slice(last_live + 1, N)
+    band_rows = [(-u0[tip] / u0[1:first_live + 1],
+                  -u0[cap] / u0[last_live:-1] if initial.has_cap else 0.0)
+                 for u0 in (initial.a, initial.b)]
+    slaved = frozen if initial.has_cap else np.arange(N) < first_live
 
     def positive(a, b):
         return bool((a > 0).all() and (b[live] > 0).all())
@@ -257,19 +246,23 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
             da, db = flow_rhs(met, ref, kappa)
             coeff = 1.0 / met.a**2
             ab_mat = _implicit_bands(grid, coeff, dt, frozen)
-            diag, off = ab_mat[1, rows], ab_mat[couplings]
-            ab_mat[couplings] = 0.0
             new = []
-            for u, rate, ratio in ((met.a, da, ratio_a),
-                                   (met.b, db, ratio_b)):
+            # the tip band's last row, scaled by the live row's coupling c
+            # to it, is eliminated with multiplier 1; as a unit row, |c| > 1
+            # forces a row interchange that moves the live values by roundoff
+            c = ab_mat[2, first_live - 1]
+            ab_mat[1, first_live - 1] = c
+            for u, rate, (tip_row, cap_row) in zip((met.a, met.b), (da, db),
+                                                   band_rows):
+                ab_mat[0, 1:first_live + 1] = tip_row
+                ab_mat[0, first_live] *= c
+                ab_mat[2, last_live:-1] = cap_row
                 d3u = lo * u[below] + mid * u[live] + hi * u[above]
-                rhs = u.copy()
+                rhs = np.where(slaved, 0.0, u)
                 rhs[live] += dt * (rate[live] - coeff[live] * d3u)
-                ab_mat[1, rows] = diag + off * ratio
                 new.append(solve_banded(ab_mat, rhs))
             steps += 1
             a, b = new
-            slave_bands(a, b)
             if not positive(a, b):
                 return None
             met = RadialMetric(met.link, grid, a, b)

@@ -354,6 +354,57 @@ class TestExitCodes:
                         "laplace_spectrum must be nonempty")
         assert not (tmp_path / "d" / "report.json").exists()
 
+    @pytest.mark.parametrize("text, first_line", [
+        ("N = 5\n", "File contains no section headers."),
+        ("[grid]\nN = 300\n[grid]\nN = 400\n",
+         "While reading from {path!r} [line  3]: section 'grid' already "
+         "exists"),
+        ("[grid]\nN\n", "Source contains parsing errors: {path!r}")],
+        ids=["no-section", "duplicate-section", "bare-key"])
+    def test_malformed_config_file_is_one_line(self, tmp_path, capsys, text,
+                                               first_line):
+        # configparser's own message, cut to its first line, names the file
+        path = tmp_path / "conf.ini"
+        path.write_text(text)
+        args = ["link-check", "--config", str(path), "--output-dir", "d"]
+        assert main(args) == EXIT_OPERATIONAL
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"conelab: error: config file {path}: "
+                        + first_line.format(path=str(path)))
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("sub", [["link-check"], ["mapping"],
+                                     ["heat-check", "--set",
+                                      "heat.n_samples=10"]],
+                             ids=["link-check", "mapping", "heat-check"])
+    @pytest.mark.parametrize("out, errno_name", [("F", "File exists"),
+                                                 ("F/sub", "Not a directory")],
+                             ids=["file", "under-a-file"])
+    def test_unwritable_output_dir_is_one_line(self, tmp_path, capsys, sub,
+                                               out, errno_name):
+        # the report is written inside the error boundary: a path through
+        # an existing file is an operational error, not a traceback
+        (tmp_path / "F").write_text("a file\n")
+        assert main([*sub, "--output-dir", out]) == EXIT_OPERATIONAL
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("conelab: error: ") and errno_name in line
+        assert (tmp_path / "F").read_text() == "a file\n"
+
+    def test_nu_refused_by_its_tip_fit_writes_nothing(self, tmp_path, capsys):
+        # 40 rows of the unit S^4: the tip-fit window holds one node, so the
+        # report cannot be built, and its tau profile is not written either
+        x = [k * math.pi / 40 for k in range(1, 41)]
+        path = tmp_path / "s4.csv"
+        path.write_text("x,a,b\n" + "".join(
+            f"{v!r},1.0,{math.sin(v) if k < 40 else 0.0!r}\n"
+            for k, v in enumerate(x, start=1)))
+        args = ["nu", "--preset", "file", "--set", f"metric.path={path}",
+                "--output-dir", "n"]
+        assert main(args) == EXIT_OPERATIONAL
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("conelab: error: fit window")
+        assert not (tmp_path / "n").exists() or not os.listdir(tmp_path / "n")
+
     def test_flag_sets_only_its_own_key(self, tmp_path):
         args = ["mu", "--preset", "sphere_suspension", "--N", "200",
                 "--variant", "plus", "--output-dir", "v"]

@@ -132,6 +132,8 @@ class TestWEntropy:
             evaluate_w(s4_fine, u, 0.0)
         with pytest.raises(ValueError):
             evaluate_w(s4_fine, u - 1.0, 0.3)
+        with pytest.raises(ValueError, match="unknown variant 'zero'"):
+            evaluate_w(s4_fine, u, 0.3, variant="zero")
 
 
 class TestMu:
@@ -195,6 +197,12 @@ class TestMu:
     def test_tau_must_be_positive(self, s4_fine):
         with pytest.raises(ValueError):
             compute_mu(s4_fine, -0.1)
+
+    def test_unknown_variant_and_start_rejected(self, s4_fine):
+        with pytest.raises(ValueError, match="unknown variant 'zero'"):
+            compute_mu(s4_fine, 0.3, variant="zero")
+        with pytest.raises(ValueError, match="unknown start 'bogus'"):
+            compute_mu(s4_fine, 0.3, starts=("bogus",))
 
     @pytest.mark.parametrize("tau", [1e-300, 1e300])
     def test_tau_without_a_finite_scale_factor_rejected(self, s4_fine, tau):

@@ -213,6 +213,37 @@ class TestImplicitBands:
         assert g._d3 is g.__dict__["_d3"]
 
 
+class TestSlavedBands:
+    @staticmethod
+    def _spread(u, u0):
+        q = u / u0
+        return np.ptp(q) / abs(q[0])
+
+    @pytest.mark.parametrize("case", ["perturbed_cone", "sphere_suspension"])
+    def test_bands_keep_their_initial_profile(self, s3, case):
+        # every sample, both fields: the tip band, and a smooth cap, scale
+        # with the nearest live node; a truncation band keeps its values
+        if case == "perturbed_cone":
+            g = RadialGrid.graded(200, 2.0, p=1.0)
+            met = perturbed_cone(s3, g, amplitude=0.01, exponent=2.0,
+                                 cutoff=0.7)
+            cfg = FlowConfig(t_end=0.004, reference=flat_cone(s3, g),
+                             entropy=False, samples=10)
+        else:
+            met = sphere_suspension(s3, 300, radius=1.0)
+            cfg = FlowConfig(t_end=0.01, entropy=False, samples=10)
+        traj = run_flow(met, cfg)
+        assert met.has_cap == (case == "sphere_suspension")
+        assert traj[-1].t == cfg.t_end and len(traj) == 11
+        for state in traj:
+            for u, u0 in ((state.metric.a, met.a), (state.metric.b, met.b)):
+                assert self._spread(u[:4], u0[:4]) <= 1e-12
+                if met.has_cap:
+                    assert self._spread(u[-5:-1], u0[-5:-1]) <= 1e-12
+                else:
+                    assert np.array_equal(u[-4:], u0[-4:])
+
+
 class TestFixedPointRuns:
     def test_flat_cone_does_not_drift(self, s3):
         g = RadialGrid.graded(300, 1.0, p=1.0)
@@ -335,6 +366,19 @@ class TestPreconditions:
                          reference=flat_cone(s3, g))
         with pytest.raises(FlowError, match="admissible"):
             run_flow(bad, cfg)
+
+    def test_perturbation_vanishing_near_the_tip_is_admissible(self, s3):
+        # a bump on 0.6 < x < 1.4 leaves the deviation exactly 0 on the
+        # tip-fit window: it decays at every rate, and the flow runs
+        g = RadialGrid.graded(400, 2.0, p=1.0)
+        inside = (g.x > 0.6) & (g.x < 1.4)
+        bump = np.where(inside, np.sin(np.pi * (g.x - 0.6) / 0.8) ** 4, 0.0)
+        met = RadialMetric(link=s3, grid=g, a=np.ones(g.N),
+                           b=g.x * (1.0 + 0.01 * bump))
+        cfg = FlowConfig(t_end=0.004, reference=flat_cone(s3, g), samples=10)
+        traj = run_flow(met, cfg)
+        assert np.min(np.diff([s.entropy_value for s in traj])) > 0.0
+        assert monotonicity_report(traj, cfg).passed
 
     def test_interior_neck_rejected(self, s3):
         # b dips to 0.01 x at x = 0.5: the nodes there fall under the tip

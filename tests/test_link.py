@@ -71,6 +71,12 @@ def test_s2_second_eigenvalue():
     assert link.laplace_spectrum[2] == (6.0, 5)
 
 
+def test_sphere_link_needs_a_nonzero_mode():
+    with pytest.raises(ValueError) as info:
+        sphere_link(3, 0)
+    assert str(info.value) == "link S3: k_max = 0 must be at least 1"
+
+
 def test_sphere_link_metadata():
     link = sphere_link(3, 6)
     assert link.n == 3
