@@ -43,9 +43,15 @@ def _scipy_compiled(module: str, name: str):
     such as ("linalg._flapack", "dgtsv"), loaded from its file so that the
     subpackage's __init__ (about 0.2 s and 25 MB for scipy.linalg or
     scipy.special) never runs.  It is the very object that the subpackage
-    exports.  ScipyLayoutError if the file or the name is missing."""
-    import scipy
-    base = os.path.join(os.path.dirname(scipy.__file__), *module.split("."))
+    exports.  scipy's directory comes from its import spec, so scipy's own
+    __init__ does not run either.  ScipyLayoutError if scipy, the file or
+    the name is missing."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ScipyLayoutError(f"scipy is not installed; {name} comes from "
+                               f"scipy.{module}")
+    base = os.path.join(scipy_spec.submodule_search_locations[0],
+                        *module.split("."))
     paths = [base + s for s in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.exists(p)), None)
     if path is not None:
@@ -54,6 +60,7 @@ def _scipy_compiled(module: str, name: str):
         spec.loader.exec_module(ext)
         if hasattr(ext, name):
             return getattr(ext, name)
+    import scipy  # for the version in the message only
     raise ScipyLayoutError(f"scipy {scipy.__version__} has no compiled "
                            f"{name} in {path or paths[0]}")
 

@@ -92,8 +92,10 @@ class TestArtifacts:
         assert eff1 == eff2
 
     def test_set_override_does_not_carry_into_the_next_call(self, tmp_path):
-        # every subcommand copies --set from one parent parser; its list
-        # default must not collect one call's overrides for the next
+        # every call parses with one parser built once per process, whose
+        # subcommands copy --set from one parent parser; its list default
+        # must not collect one call's overrides for the next
+        assert cli._parser() is cli._parser()
         assert main(["heat-check", "--set", "mu.tau=0.25",
                      "--output-dir", "s1"]) == EXIT_OK
         assert main(["heat-check", "--output-dir", "s2"]) == EXIT_OK
@@ -831,23 +833,29 @@ def test_import_loads_no_scipy_and_lambda_loads_only_scipy_linalg(tmp_path):
 
 def test_no_op_loads_a_scipy_subpackage(tmp_path):
     """`import conelab` loads no scipy module, and the banded solves and
-    Bessel calls of every op load only the compiled extensions, so a fresh
-    process never runs a scipy subpackage's __init__."""
+    Bessel calls of every op load only the compiled extensions, found
+    without importing scipy itself, so a fresh process that runs every
+    subcommand never runs the init of scipy or of a scipy subpackage.
+    heat-check draws its samples without loading numpy.random."""
     script = (
         "import sys\n"
         "import conelab\n"
         "from conelab import cli\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "assert not loaded, loaded\n"
+        "# link-check's built-in links end in a report, not yet a pass\n"
+        "assert cli.main(['link-check', '--output-dir', 'l']) != 1\n"
         "sphere = ['--preset', 'sphere_suspension', '--N', '120']\n"
         "for args in (['lambda', *sphere], ['mu', *sphere], ['nu', *sphere],\n"
         "             ['flow', *sphere, '--set', 'flow.t_end=0.001',\n"
         "              '--set', 'flow.samples=2'],\n"
         "             ['heat-check', '--set', 'heat.n_samples=10'],\n"
-        "             ['mapping', '--set', 'mapping.exponent=1']):\n"
+        "             ['mapping', '--set', 'mapping.exponent=1'],\n"
+        "             ['convergence', *sphere, '--refinements', '2',\n"
+        "              '--set', 'convergence.base_N=60']):\n"
         "    assert cli.main([*args, '--output-dir', args[0]]) == 0, args\n"
-        "packages = {'scipy.linalg', 'scipy.special', 'scipy.optimize',\n"
-        "            'scipy.interpolate'}\n"
+        "packages = {'scipy', 'scipy.linalg', 'scipy.special',\n"
+        "            'scipy.optimize', 'scipy.interpolate', 'numpy.random'}\n"
         "loaded = packages & set(sys.modules)\n"
         "assert not loaded, loaded\n"
         "assert {'scipy.linalg._flapack',\n"
@@ -882,3 +890,37 @@ def test_moved_scipy_layout_is_one_line(module, name, monkeypatch, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert f"scipy {scipy.__version__} has no compiled {name} in " in line
     assert module.replace(".", os.sep) in line
+
+
+def test_missing_scipy_is_one_line(monkeypatch, capsys):
+    """Without scipy the first banded solve ends in one line, not in an
+    ImportError traceback."""
+    import importlib.util
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *rest: (
+        None if name == "scipy" else find_spec(name, *rest)))
+    load = spectral._scipy_compiled.__wrapped__
+    monkeypatch.setattr(spectral, "_scipy_compiled", lambda *args: load(*args))
+    assert main(["lambda", "--N", "100"]) == EXIT_OPERATIONAL
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "scipy is not installed; dgtsv comes from scipy.linalg._flapack" \
+        in line
+
+
+_SEEDS = [*range(60), 2**32 - 1, 2**32, 2**40 + 7, 123456789012345,
+          2**128 + 3, 2**160 - 1, 10**50, 7**80]
+
+
+@pytest.mark.parametrize("n", [1, 100])
+def test_heat_check_draws_are_numpys_default_rng(n):
+    """heat-check's four sample blocks, drawn in order, are numpy's
+    default_rng(seed).uniform stream bit for bit, at seeds of one to nine
+    32-bit words."""
+    blocks = [(math.log(0.01), 0.0), (0.1, 2.0), (0.1, 2.0),
+              (-math.pi, math.pi)]
+    for seed in _SEEDS:
+        rng = np.random.default_rng(seed)
+        uniform = cli._uniform_sampler(seed)
+        for lo, hi in blocks:
+            drawn = uniform(lo, hi, n).tobytes()
+            assert drawn == rng.uniform(lo, hi, n).tobytes(), (seed, lo, hi)

@@ -69,6 +69,34 @@ class TestLambda:
         avg = float(np.sum(w * scal) / np.sum(w))
         assert np.min(scal) - 1e-10 <= lam <= avg + 1e-10
 
+    @pytest.mark.parametrize("c, bessel, error", [
+        (0.5, 30.7762230868, 2.21e-5), (0.7, 11.4872865949, 7.24e-6),
+        (0.9, 2.7433168214, 1.72e-6), (1.3, -5.2658953421, 8.17e-6)])
+    def test_flat_cone_matches_bessel_root(self, s3, c, bessel, error):
+        """The flat cone dx^2 + c^2 x^2 g_S3 truncated at L = 1 has
+        scal = s/x^2, s = 6(1 - c^2)/c^2, and its ground state is
+        x^-1 J_nu(kx) with lambda = 4k^2 for c < 1, x^-1 I_nu(kx) with
+        lambda = -4k^2 for c > 1, nu = sqrt(1 + s/4), where k is the first
+        root of k Z_nu'(k) = Z_nu(k), the natural condition at L.  Each case
+        is bounded at twice the error measured at N = 2000, p = 2; resolving
+        the tip in the ground-state representation is to tighten the bound
+        to 1e-6 relative (ROADMAP item 23)."""
+        from scipy.optimize import brentq
+        from scipy.special import iv, ivp, jv, jvp
+
+        s = 6.0 * (1.0 - c * c) / (c * c)
+        nu = float(spectral.nu_from_mode(3, s / 4.0))
+        z, dz = (jv, jvp) if c < 1 else (iv, ivp)
+        f = lambda k: k * dz(nu, k) - z(nu, k)
+        ks = np.arange(0.01, 10.0, 0.01)
+        k0 = next(k for k in ks if f(k) * f(k + 0.01) < 0)
+        k = brentq(f, k0, k0 + 0.01, xtol=1e-15)
+        root = math.copysign(4.0 * k * k, 1.0 - c)
+        assert abs(root - bessel) < 1e-9
+        met = geometry.flat_cone(s3, RadialGrid.graded(2000, 1.0, p=2.0),
+                                 cone_factor=c)
+        assert abs(compute_lambda(met).value - root) < 2.0 * error
+
     def test_weights_are_plain_arrays(self, s3):
         # compute_lambda hands out the memoized lambda problem itself
         met = geometry.sphere_suspension(s3, 200, radius=1.0, p=2.0)
