@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import random
 import sys
 
 import numpy as np
@@ -406,61 +407,21 @@ def cmd_flow(cfg: dict) -> dict:
     }
 
 
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_PCG_MULT = 0x2360ed051fc65da44385df649fccf645
-
-
-def _uniform_sampler(seed: int):
-    """numpy's default_rng(seed).uniform as uniform(lo, hi, n), bit for bit,
-    without numpy.random: SeedSequence(seed) seeds PCG64 (XSL-RR 128/64), and
-    each value is lo + (hi - lo) * ((next64 >> 11) * 2**-53), as in numpy."""
-    const = 0x43b0d7e5
-
-    def hashmix(v, mult=0x931e8875):
-        nonlocal const
-        v, const = v ^ const, const * mult & _M32
-        v = v * const & _M32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = 0xca01f9dd * x - 0x4973f715 * hashmix(y) & _M32
-        return r ^ r >> 16
-
-    words = [seed >> s & _M32 for s in range(0, seed.bit_length() or 1, 32)]
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for i, j in ((i, j) for i in range(4) for j in range(4) if i != j):
-        pool[j] = mix(pool[j], pool[i])
-    for w, j in ((w, j) for w in words[4:] for j in range(4)):
-        pool[j] = mix(pool[j], w)
-    const = 0x8b51f9dd
-    s = [hashmix(pool[i % 4], 0x58f38ded) for i in range(8)]
-    inc = (s[5] << 96 | s[4] << 64 | s[7] << 32 | s[6]) << 1 & _M128 | 1
-    initstate = s[1] << 96 | s[0] << 64 | s[3] << 32 | s[2]
-
-    def draws(state):
-        while True:
-            state = state * _PCG_MULT + inc & _M128
-            x, rot = (state >> 64 ^ state) & _M64, state >> 122
-            yield ((x >> rot | x << 64 - rot) & _M64) >> 11
-
-    bits = draws(((initstate + inc) * _PCG_MULT + inc) & _M128)
-    return lambda lo, hi, n: np.array(
-        [lo + (hi - lo) * (next(bits) * 2.0**-53) for _ in range(n)])
-
-
 def cmd_heat_check(cfg: dict) -> dict:
     """The cone heat kernel over S1, which is the plane's, at n_samples
-    random points, and the kernel's mass.  The samples are numpy's
-    default_rng(seed).uniform stream, drawn by _uniform_sampler without
-    loading numpy.random."""
+    random points drawn by random.Random(seed), and the kernel's mass."""
     link = build_link(cfg)
     h = cfg["heat"]
-    uniform = _uniform_sampler(cfg["run"]["seed"])
+    rng = random.Random(cfg["run"]["seed"])
     ns = h["n_samples"]
-    t = np.exp(uniform(math.log(h["t_min"]), math.log(h["t_max"]), ns))
-    x = uniform(0.1, 2.0, ns)
-    y = uniform(0.1, 2.0, ns)
-    dth = uniform(-math.pi, math.pi, ns)
+
+    def uniform(lo, hi):
+        return np.array([rng.uniform(lo, hi) for _ in range(ns)])
+
+    t = np.exp(uniform(math.log(h["t_min"]), math.log(h["t_max"])))
+    x = uniform(0.1, 2.0)
+    y = uniform(0.1, 2.0)
+    dth = uniform(-math.pi, math.pi)
     err = heat.s1_plane_kernel_error(t, x, y, dth)
     mass = heat.kernel_mass(link.n, 0.01, 1.0)
     mass_err = abs(mass - 1.0)

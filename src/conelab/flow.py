@@ -62,8 +62,10 @@ class FlowConfig:
     cone_drift_bound: float = 1e-3
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not 0 < self.cone_drift_bound < math.inf:
+            raise ValueError("cone_drift_bound must be positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.normalization not in _KAPPA:
@@ -138,22 +140,106 @@ def _implicit_bands(grid, coeff, dt, frozen):
     return ab
 
 
+class _ImexStep:
+    """One IMEX step of the flow; its frozen rows, slaving rows and
+    cone-factor fit are built once, from the initial metric.
+
+    The 3-point diffusion D3 u / a^2 is solved implicitly (one tridiagonal
+    solve per field), the remainder of the right-hand side explicitly.  The
+    tip band of nodes is slaved multiplicatively to the initial profile
+    (band values scale with the first evolved node); a smooth outer cap is
+    slaved the same way from the other end, while a truncation boundary
+    stays at its initial values.  Each slaved node is a row
+    u[i] - (u0[i] / u0[j]) u[j] = 0 of the implicit system, j its neighbour
+    towards the live rows, so one solve returns live and slaved values
+    together and no live row couples to a stale band value; the two fields'
+    matrices differ in those rows only.
+    """
+
+    def __init__(self, initial: RadialMetric):
+        grid, N = initial.grid, initial.grid.N
+        frozen = np.zeros(N, dtype=bool)
+        frozen[:4] = frozen[-4:] = True  # at least four frozen nodes per end
+        # the de Turck linearization carries a +2n/b^2 reaction near b -> 0
+        # (tips and smooth caps); freeze every node where that rate beats the
+        # grid-scale diffusion damping, otherwise those nodes blow up
+        dx_loc = np.gradient(grid.x)
+        margin = 3.0 * math.sqrt(2.0 * initial.link.n) * dx_loc
+        frozen |= initial.b < margin
+        live_rows = np.flatnonzero(~frozen)
+        if live_rows.size < 9:
+            raise FlowError("grid too small for the frozen boundary bands")
+        first, last = int(live_rows[0]), int(live_rows[-1])
+        if last - first + 1 != live_rows.size:
+            raise FlowError("frozen region is not two boundary bands; "
+                            "b vanishes in the interior")
+        self.grid, self.frozen = grid, frozen
+        self.first, self.last = first, last
+        self.live = slice(first, last + 1)  # the complement of frozen
+        self.d3 = grid._d3[:, self.live]
+
+        # cone factor: the tip limit of b/s, s = int_0^x a the arclength (the
+        # tip cell [0, x_0] taken as a_0 x_0), so the cone angle b'/a rather
+        # than b', which moves when the metric is rescaled; extrapolated
+        # linearly in x from the first live nodes (the slaved band excluded)
+        # by one least-squares row on the fixed nodes
+        self.fit = slice(first, first + 8)  # last >= first + 8, checked above
+        self.intercept_row = np.linalg.pinv(np.vander(grid.x[self.fit], 2))[1]
+        self.half_dx = 0.5 * np.diff(grid.x[:self.fit.stop])
+
+        # slaving rows: a tip band node keeps its initial ratio to the node
+        # above it, u[i] = (u0[i] / u0[i+1]) u[i+1], a cap node its ratio to the
+        # node below it; the excised tip keeps its indicial shape (a ~ const,
+        # b ~ slope * x for conical data), exact at fixed points and under
+        # uniform rescaling.  A truncation band keeps its identity rows
+        tip, cap = slice(first), slice(last + 1, N)
+        self.band_rows = [(-u0[tip] / u0[1:first + 1],
+                           -u0[cap] / u0[last:-1] if initial.has_cap else 0.0)
+                          for u0 in (initial.a, initial.b)]
+        self.slaved = frozen if initial.has_cap else np.arange(N) < first
+
+    def cone_factor(self, a, b) -> float:
+        end = self.fit.stop
+        s = a[0] * self.grid.x[0] + np.concatenate(
+            ([0.0], np.cumsum(self.half_dx * (a[:end - 1] + a[1:end]))))
+        return float(self.intercept_row @ (b[self.fit] / s[self.fit]))
+
+    def positive(self, a, b) -> bool:
+        return bool((a > 0).all() and (b[self.live] > 0).all())
+
+    def __call__(self, met: RadialMetric, ref: RadialMetric, kappa: float,
+                 dt: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """The fields (a, b) a step dt after met; None on a positivity loss."""
+        first, last, live = self.first, self.last, self.live
+        da, db = flow_rhs(met, ref, kappa)
+        coeff = 1.0 / met.a**2
+        ab_mat = _implicit_bands(self.grid, coeff, dt, self.frozen)
+        # the tip band's last row, scaled by the live row's coupling c to
+        # it, is eliminated with multiplier 1; as a unit row, |c| > 1 forces
+        # a row interchange that moves the live values by roundoff
+        c = ab_mat[2, first - 1]
+        ab_mat[1, first - 1] = c
+        lo, mid, hi = self.d3
+        new = []
+        for u, rate, (tip_row, cap_row) in zip((met.a, met.b), (da, db),
+                                               self.band_rows):
+            ab_mat[0, 1:first + 1] = tip_row
+            ab_mat[0, first] *= c
+            ab_mat[2, last:-1] = cap_row
+            d3u = (lo * u[first - 1:last] + mid * u[live]
+                   + hi * u[first + 1:last + 2])
+            rhs = np.where(self.slaved, 0.0, u)
+            rhs[live] += dt * (rate[live] - coeff[live] * d3u)
+            new.append(solve_banded(ab_mat, rhs))
+        return tuple(new) if self.positive(*new) else None
+
+
 def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     """Integrate the flow from `initial`; returns the sampled trajectory.
 
-    Implicit-explicit stepping: the 3-point diffusion D3 u / a^2 is solved
-    implicitly (one tridiagonal solve per step per field), the remainder of
-    the right-hand side explicitly.  The tip band of nodes is slaved
-    multiplicatively to the initial profile (band values scale with the
-    first evolved node); a smooth outer cap is slaved the same way from the
-    other end, while a truncation boundary stays at its initial values.
-    Each slaved node is a row u[i] - (u0[i] / u0[j]) u[j] = 0 of the
-    implicit system, j its neighbour towards the live rows, so one solve
-    returns live and slaved values together and no live row couples to a
-    stale band value; the two fields' matrices differ in those rows only.
-
-    The trajectory is sampled at t = t_end * (j / samples).  Each sample
-    interval takes k and 2k steps from its start and keeps 2 u_2k - u_k when
+    Each step is an _ImexStep.  The trajectory is sampled at
+    t = t_end * (j / samples).  Each sample interval takes k and 2k steps
+    from its start and keeps 2 u_2k - u_k when
 
         max |u_2k - u_k| <= TIME_TOL max |u_2k - u_start| + 2k 64 eps max |u_start|,
 
@@ -167,7 +253,6 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
     ref = config.reference if config.reference is not None else initial
     kappa = _KAPPA[config.normalization]
     grid = initial.grid
-    N = grid.N
     if linkmod.check_tangential_stability(initial.link) == linkmod.UNSTABLE:
         raise FlowError("link is tangentially unstable; the stability "
                         "theory does not cover this flow")
@@ -177,7 +262,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         # (one constant on the tip-fit window has exponent +inf, and decays
         # only if that constant is 0)
         ok = ref.b > 0
-        v = np.zeros(N)
+        v = np.zeros(grid.N)
         v[ok] = initial.b[ok] / ref.b[ok] - 1.0
         vmax = float(np.max(np.abs(v)))
         if vmax > 1e-10:
@@ -186,93 +271,14 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
                 raise FlowError(
                     "initial metric is not an admissible perturbation of "
                     "the reference (tip deviation does not decay)")
-    frozen = np.zeros(N, dtype=bool)
-    frozen[:4] = frozen[-4:] = True  # at least four frozen nodes per end
-    # the de Turck linearization carries a +2n/b^2 reaction near b -> 0
-    # (tips and smooth caps); freeze every node where that rate beats the
-    # grid-scale diffusion damping, otherwise those nodes blow up
-    dx_loc = np.gradient(grid.x)
-    margin = 3.0 * math.sqrt(2.0 * initial.link.n) * dx_loc
-    frozen |= initial.b < margin
-    live_rows = np.flatnonzero(~frozen)
-    if live_rows.size < 9:
-        raise FlowError("grid too small for the frozen boundary bands")
-    first_live, last_live = int(live_rows[0]), int(live_rows[-1])
-    if last_live - first_live + 1 != live_rows.size:
-        raise FlowError("frozen region is not two boundary bands; "
-                        "b vanishes in the interior")
-    live = slice(first_live, last_live + 1)  # the complement of frozen
-    below = slice(first_live - 1, last_live)  # the live rows' neighbours
-    above = slice(first_live + 1, last_live + 2)
-    lo, mid, hi = grid._d3[:, live]
-
-    # cone factor: the tip limit of b/s, s = int_0^x a the arclength (the
-    # tip cell [0, x_0] taken as a_0 x_0), so the cone angle b'/a rather
-    # than b', which moves when the metric is rescaled; extrapolated
-    # linearly in x from the first live nodes (the slaved band excluded)
-    # by one least-squares row on the fixed nodes
-    fit_end = first_live + 8  # last_live >= first_live + 8, checked above
-    fit_sl = slice(first_live, fit_end)
-    intercept_row = np.linalg.pinv(np.vander(grid.x[fit_sl], 2))[1]
-    half_dx = 0.5 * np.diff(grid.x[:fit_end])
-
-    def fitted_cone_factor(a, b):
-        s = a[0] * grid.x[0] + np.concatenate(
-            ([0.0], np.cumsum(half_dx * (a[:fit_end - 1] + a[1:fit_end]))))
-        return float(intercept_row @ (b[fit_sl] / s[fit_sl]))
-
-    cf0 = fitted_cone_factor(initial.a, initial.b)
-
-    # slaving rows: a tip band node keeps its initial ratio to the node
-    # above it, u[i] = (u0[i] / u0[i+1]) u[i+1], a cap node its ratio to the
-    # node below it; the excised tip keeps its indicial shape (a ~ const,
-    # b ~ slope * x for conical data), exact at fixed points and under
-    # uniform rescaling.  A truncation band keeps its identity rows
-    tip, cap = slice(first_live), slice(last_live + 1, N)
-    band_rows = [(-u0[tip] / u0[1:first_live + 1],
-                  -u0[cap] / u0[last_live:-1] if initial.has_cap else 0.0)
-                 for u0 in (initial.a, initial.b)]
-    slaved = frozen if initial.has_cap else np.arange(N) < first_live
-
-    def positive(a, b):
-        return bool((a > 0).all() and (b[live] > 0).all())
-
-    steps = 0
-
-    def advance(met, k, dt):
-        """k IMEX steps of size dt from met; None on a positivity loss."""
-        nonlocal steps
-        for _ in range(k):
-            da, db = flow_rhs(met, ref, kappa)
-            coeff = 1.0 / met.a**2
-            ab_mat = _implicit_bands(grid, coeff, dt, frozen)
-            new = []
-            # the tip band's last row, scaled by the live row's coupling c
-            # to it, is eliminated with multiplier 1; as a unit row, |c| > 1
-            # forces a row interchange that moves the live values by roundoff
-            c = ab_mat[2, first_live - 1]
-            ab_mat[1, first_live - 1] = c
-            for u, rate, (tip_row, cap_row) in zip((met.a, met.b), (da, db),
-                                                   band_rows):
-                ab_mat[0, 1:first_live + 1] = tip_row
-                ab_mat[0, first_live] *= c
-                ab_mat[2, last_live:-1] = cap_row
-                d3u = lo * u[below] + mid * u[live] + hi * u[above]
-                rhs = np.where(slaved, 0.0, u)
-                rhs[live] += dt * (rate[live] - coeff[live] * d3u)
-                new.append(solve_banded(ab_mat, rhs))
-            steps += 1
-            a, b = new
-            if not positive(a, b):
-                return None
-            met = RadialMetric(met.link, grid, a, b)
-        return met
+    step = _ImexStep(initial)
+    cf0 = step.cone_factor(initial.a, initial.b)
 
     def diagnostics(t, met, time_error):
-        cf = fitted_cone_factor(met.a, met.b)
+        cf = step.cone_factor(met.a, met.b)
         if abs(cf - cf0) > config.cone_drift_bound * max(abs(cf0), 1e-300):
             raise FlowError(f"cone-condition drift beyond bound at t = {t:.6g}")
-        ric = np.stack([r[live] for r in warped_ricci(met)])
+        ric = np.stack([r[step.live] for r in warped_ricci(met)])
         ev = None
         if config.entropy:
             # lambda, or mu at tau = 1/(2 |kappa|) = 1/2, the scale at
@@ -293,6 +299,7 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
                    float(np.max(np.abs(p.b - q.b))))
 
     metric = initial
+    steps = 0
     trajectory = [diagnostics(0.0, metric, 0.0)]
     k = 1
     t = 0.0
@@ -300,25 +307,33 @@ def run_flow(initial: RadialMetric, config: FlowConfig) -> list[FlowState]:
         t_start, t = t, config.t_end * (j / config.samples)
         h = t - t_start
         floor = 64 * np.finfo(float).eps * max(metric.a.max(), metric.b.max())
-        coarse = advance(metric, k, h / k)
+        # runs of m = k, 2k, 4k, ... steps from metric, each run once and
+        # each the fine trial of the run before it
+        m, coarse = k, None
         while True:
-            fine = None if coarse is None else advance(metric, 2 * k, h / (2 * k))
-            if fine is not None:
+            fine = metric
+            for _ in range(m):
+                new = step(fine, ref, kappa, h / m)
+                steps += 1
+                if new is None:
+                    fine = None
+                    break
+                fine = RadialMetric(metric.link, grid, *new)
+            if coarse is not None and fine is not None:
                 err, change = sup_diff(fine, coarse), sup_diff(fine, metric)
-                if err <= TIME_TOL * change + 2 * k * floor:
+                if err <= TIME_TOL * change + m * floor:
                     a = 2.0 * fine.a - coarse.a
                     b = 2.0 * fine.b - coarse.b
-                    if positive(a, b):
+                    if step.positive(a, b):
                         break
-            k *= 2
-            if k > _MAX_STEPS:
+            # k, the next pair's coarse run, is this run, or 2m after a failure
+            if (m if fine is not None else 2 * m) > _MAX_STEPS:
                 raise FlowError(
                     f"step-size collapse: {2 * _MAX_STEPS} steps do not "
                     f"resolve the sample interval from t = {t_start:.6g} at "
                     f"flow.t_end = {config.t_end:g}, flow.samples = {config.samples}")
-            # the 2k-run is the next trial's coarse run; a failed one stays
-            # failed, and a failed coarse run is retried at the new k
-            coarse = fine if coarse is not None else advance(metric, k, h / k)
+            m, coarse = 2 * m, fine
+        k = m // 2
         if err <= 0.25 * TIME_TOL * change and k > 1:
             k //= 2
         metric = RadialMetric(metric.link, grid, a, b)

@@ -244,6 +244,41 @@ class TestSlavedBands:
                     assert np.array_equal(u[-4:], u0[-4:])
 
 
+class TestImexStep:
+    """One step of the flow, taken without running a flow."""
+
+    @pytest.fixture(scope="class")
+    def cone(self, s3):
+        g = RadialGrid.graded(400, 2.0, p=1.0)
+        met = perturbed_cone(s3, g, amplitude=0.01, exponent=2.0, cutoff=0.7)
+        return met, flat_cone(s3, g), flow._ImexStep(met)
+
+    def test_slaved_and_truncation_rows(self, cone):
+        met, ref, step = cone
+        first, last = step.first, step.last
+        assert not met.has_cap and first >= 4 and last < met.grid.N - 1
+        for u, u0 in zip(step(met, ref, 0.0, 1e-6), (met.a, met.b)):
+            # u[i] = (u0[i] / u0[i+1]) u[i+1] on the tip band: exact in the
+            # rows that back substitution solves as written, to an ulp in the
+            # last one, which the solve takes scaled by its live neighbour's
+            # coupling
+            slaved = (u0[:first] / u0[1:first + 1]) * u[1:first + 1]
+            assert np.array_equal(u[:first - 1], slaved[:-1])
+            assert abs(u[first - 1] - slaved[-1]) <= np.spacing(slaved[-1])
+            assert np.array_equal(u[last + 1:], u0[last + 1:])
+
+    def test_live_rows_are_first_order_in_dt(self, cone):
+        met, ref, step = cone
+        live = step.live
+        rates = flow_rhs(met, ref, 0.0)
+        errs = []
+        for dt in (2.5e-6, 1.25e-6, 6.25e-7, 3.125e-7):
+            new = step(met, ref, 0.0, dt)
+            errs.append(max(float(np.max(np.abs((u - u0)[live] / dt - r[live])))
+                            for u, u0, r in zip(new, (met.a, met.b), rates)))
+        assert all(e1 >= 1.8 * e2 for e1, e2 in zip(errs, errs[1:])), errs
+
+
 class TestFixedPointRuns:
     def test_flat_cone_does_not_drift(self, s3):
         g = RadialGrid.graded(300, 1.0, p=1.0)
@@ -408,6 +443,17 @@ class TestPreconditions:
             FlowConfig(t_end=1.0, normalization="slow")
         with pytest.raises(TypeError):
             FlowConfig(t_end=1.0, entropy_kind="lambda")  # the removed field
+
+    def test_non_finite_or_non_positive_inputs_rejected(self):
+        # a non-finite t_end ended in LAPACK's "array must not contain infs
+        # or NaNs"; a NaN drift bound switched the guard off, and a negative
+        # one tripped it at t = 0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_end"):
+                FlowConfig(t_end=bad)
+        for bad in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="cone_drift_bound"):
+                FlowConfig(t_end=1.0, cone_drift_bound=bad)
 
     def test_entropy_kind_auto_matches_normalization(self):
         # the sampled entropy is read off the normalization, and only read
